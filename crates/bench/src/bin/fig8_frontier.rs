@@ -15,18 +15,17 @@
 //! results); pass timings go to **stderr** so stdout and the CSV stay
 //! byte-identical whether or not the cache is enabled.
 
-use dcn_bench::fleet::{frontier_sweep_sharded, run_frontier_worker, worker_root_from_args};
-use dcn_bench::{large_mode, quick_mode, timed, Table};
-use dcn_core::frontier::{Criterion, Family, FrontierConfig};
+use dcn_bench::{large_mode, quick_mode, run_guarded, timed, Table};
+use dcn_core::frontier::{frontier_sweep, Criterion, Family, FrontierConfig};
 use dcn_core::MatchingBackend;
 use dcn_cache::SolveCtx;
+use std::process::ExitCode;
 
-fn main() -> std::process::ExitCode {
-    // Fleet workers re-invoke this binary with `--worker <queue-root>`:
-    // claim cells, solve, publish, exit — no table, no supervision.
-    if let Some(root) = worker_root_from_args() {
-        return run_frontier_worker(&root);
-    }
+fn main() -> ExitCode {
+    run_guarded("fig8_frontier", run)
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let radix = 14u32;
     let max_switches = if large_mode() {
         2048
@@ -63,16 +62,10 @@ fn main() -> std::process::ExitCode {
     }
     let cache = dcn_bench::cache();
     let sctx = SolveCtx::unlimited(&cache);
-    // With DCN_FLEET_WORKERS >= 2 the sweep shards across crash-tolerant
-    // worker processes; the merged frontiers are identical either way.
-    let sweep = |label: &str| {
-        frontier_sweep_sharded(label, &configs, &sctx).unwrap_or_else(|e| {
-            eprintln!("fig8_frontier: sweep failed: {e}");
-            Vec::new()
-        })
-    };
-    let (frontiers, cold_secs) = timed(|| sweep("fig8_frontier"));
-    let (warm, warm_secs) = timed(|| sweep("fig8_frontier"));
+    let (frontiers, cold_secs) = timed(|| frontier_sweep(&configs, &sctx));
+    let frontiers = frontiers?;
+    let (warm, warm_secs) = timed(|| frontier_sweep(&configs, &sctx));
+    let warm = warm?;
     if warm != frontiers {
         eprintln!("fig8_frontier: WARNING: warm pass diverged from cold pass");
     }
@@ -98,5 +91,5 @@ fn main() -> std::process::ExitCode {
     println!(
         "(search capped at {max_switches} switches; a frontier equal to the cap's server count means 'beyond cap')"
     );
-    std::process::ExitCode::SUCCESS
+    Ok(())
 }

@@ -26,7 +26,6 @@
 
 #![warn(missing_docs)]
 
-pub mod fleet;
 pub mod perf;
 
 use std::fmt::Display;
@@ -94,9 +93,8 @@ static PANIC_FLUSH_NAME: OnceLock<std::sync::Mutex<String>> = OnceLock::new();
 /// Installs (once per process) a panic hook that flushes the partial run
 /// manifest and any buffered `dcn-trace` events before the process dies,
 /// and records `name` as the run the hook reports under. Without this, a
-/// panicking experiment binary — or a `dcn-fleet` worker killed by a
-/// solver abort — drops its trace on the floor; with it, the post-mortem
-/// lands in `results/<name>.panic.manifest.json` (and
+/// panicking experiment binary drops its trace on the floor; with it, the
+/// post-mortem lands in `results/<name>.panic.manifest.json` (and
 /// `<name>.panic.trace.json` when tracing is active). The previous hook
 /// (the default backtrace printer) still runs first.
 pub fn install_panic_flush(name: &str) {

@@ -1,6 +1,6 @@
 //! A panicking experiment body must still flush its partial manifest and
-//! buffered trace events — the post-mortem a `dcn-fleet` supervisor (or
-//! a human) reads after a worker dies mid-cell.
+//! buffered trace events — the post-mortem a human (or a sweep script)
+//! reads after a run dies mid-cell.
 //!
 //! The panic happens in a child process (this test binary re-invoked
 //! with an env gate), because a panic hook is process-global state and

@@ -58,8 +58,8 @@ impl DiskTier {
     /// tier is an accelerator, never a correctness dependency.
     ///
     /// The temp name embeds the kind *and the writing pid*: the record
-    /// directory is shared across processes (`dcn-fleet` workers all
-    /// point at one `DCN_CACHE_DIR`), and a key-only temp name would
+    /// directory is shared by every process pointed at one
+    /// `DCN_CACHE_DIR`, and a key-only temp name would
     /// let two processes storing the same key interleave writes into
     /// one temp file — a torn-write window the final `rename` would
     /// then publish. With per-process temp names, concurrent stores of
@@ -85,34 +85,6 @@ impl DiskTier {
             let _ = fs::remove_file(&tmp);
         }
     }
-}
-
-/// Lists the key suffixes of every `<kind>-<suffix>.json` record in
-/// `dir`, sorted. This is the crash-recovery primitive: `dcn-fleet`
-/// restarts re-derive the set of already-solved work ids from the
-/// record directory instead of recomputing them. Temp files (`*.tmp`)
-/// and quarantined records (`*.quarantined`) never match the pattern.
-/// A missing or unreadable directory reads as empty.
-pub fn scan_keys(dir: &Path, kind: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let Ok(entries) = fs::read_dir(dir) else {
-        return out;
-    };
-    let prefix = format!("{kind}-");
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(suffix) = name
-            .strip_prefix(&prefix)
-            .and_then(|rest| rest.strip_suffix(".json"))
-        {
-            if !suffix.is_empty() {
-                out.push(suffix.to_string());
-            }
-        }
-    }
-    out.sort();
-    out
 }
 
 fn decode<T: CacheEntry>(text: &str, key: CacheKey) -> Result<T, String> {

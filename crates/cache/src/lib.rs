@@ -46,7 +46,6 @@ mod hash;
 mod store;
 
 pub use ctx::SolveCtx;
-pub use disk::scan_keys;
 pub use hash::{CacheKey, KeyBuilder, FORMAT_VERSION};
 
 use dcn_obs::json::Json;

@@ -2,16 +2,16 @@
 //! same keys in one `DCN_CACHE_DIR`-style record directory must never
 //! tear, quarantine, or corrupt a record.
 //!
-//! This is the property `dcn-fleet` leans on: worker processes all write
-//! into one shared cache directory, and concurrent stores of the same
-//! key must race only at the atomic rename (last-writer-wins over
-//! *complete* records). Each child process repeatedly deletes records
-//! (forcing re-stores) and reloads them, so the directory sees
-//! write/write, write/read, and remove/write interleavings; a torn
-//! write would surface as a parse failure → quarantine, which both the
-//! children and the parent assert never happens.
+//! Any two processes pointed at one `DCN_CACHE_DIR` write into the same
+//! record directory, so concurrent stores of the same key must race only
+//! at the atomic rename (last-writer-wins over *complete* records). Each
+//! child process repeatedly deletes records (forcing re-stores) and
+//! reloads them, so the directory sees write/write, write/read, and
+//! remove/write interleavings; a torn write would surface as a parse
+//! failure → quarantine, which both the children and the parent assert
+//! never happens.
 
-use dcn_cache::{scan_keys, CacheEntry, CacheHandle, CacheKey, KeyBuilder};
+use dcn_cache::{CacheEntry, CacheHandle, CacheKey, KeyBuilder};
 use dcn_obs::json::Json;
 use std::path::PathBuf;
 use std::process::Command;
@@ -119,21 +119,22 @@ fn concurrent_processes_never_tear_records() {
         let v: Result<Cell, ()> = cache.get_or_compute(|| key(i), || Ok(cell(i)));
         assert_eq!(v.unwrap(), cell(i), "key {i} after the storm");
     }
-    // … the recovery scan sees only well-formed record names …
-    let want: Vec<String> = {
-        let mut w: Vec<String> = (0..KEYS).map(|i| key(i).to_hex()).collect();
-        w.sort();
-        w
-    };
-    assert_eq!(scan_keys(&dir, Cell::KIND), want);
-    // … and nothing was quarantined or left behind as a temp file.
-    for entry in std::fs::read_dir(&dir).expect("read race dir") {
-        let name = entry.expect("dir entry").file_name();
-        let name = name.to_string_lossy().into_owned();
-        assert!(
-            name.ends_with(".json"),
-            "unexpected residue in record dir: {name}"
-        );
-    }
+    // … and the directory holds exactly one record per key: nothing was
+    // quarantined or left behind as a temp file.
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("read race dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    let mut want: Vec<String> = (0..KEYS)
+        .map(|i| format!("{}-{}.json", Cell::KIND, key(i).to_hex()))
+        .collect();
+    want.sort();
+    assert_eq!(names, want, "unexpected residue in record dir");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,9 +4,8 @@
 
 use crate::tub::{tub, MatchingBackend};
 use crate::CoreError;
-use dcn_cache::{CacheKey, KeyBuilder, SolveCtx};
+use dcn_cache::SolveCtx;
 use dcn_exec::Pool;
-use dcn_obs::json::Json;
 use dcn_model::Topology;
 use dcn_partition::bisection_bandwidth;
 use dcn_topo::{fatclique, jellyfish, xpander, FatCliqueParams};
@@ -34,7 +33,7 @@ impl Family {
         }
     }
 
-    /// Inverse of [`Family::name`], for deserializing work units.
+    /// Inverse of [`Family::name`], for parsing family names from queries.
     pub fn from_name(name: &str) -> Option<Family> {
         match name {
             "jellyfish" => Some(Family::Jellyfish),
@@ -102,68 +101,6 @@ pub enum Criterion {
         /// Multilevel partitioner restarts.
         tries: u32,
     },
-}
-
-impl Criterion {
-    /// Serializes the criterion for `dcn-fleet` work-unit payloads.
-    pub fn to_json(&self) -> Json {
-        match self {
-            Criterion::FullThroughput { backend } => Json::obj([
-                ("kind", Json::Str("full_throughput".to_string())),
-                ("backend", backend.to_json()),
-            ]),
-            Criterion::FullBisection { tries } => Json::obj([
-                ("kind", Json::Str("full_bisection".to_string())),
-                ("tries", Json::Num(*tries as f64)),
-            ]),
-        }
-    }
-
-    /// Deserializes a [`Criterion::to_json`] record.
-    pub fn from_json(json: &Json) -> Result<Criterion, String> {
-        let kind = json
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("criterion missing kind")?;
-        match kind {
-            "full_throughput" => {
-                let backend = json.get("backend").ok_or("criterion missing backend")?;
-                Ok(Criterion::FullThroughput {
-                    backend: MatchingBackend::from_json(backend)?,
-                })
-            }
-            "full_bisection" => {
-                let tries = json
-                    .get("tries")
-                    .and_then(Json::as_u64)
-                    .ok_or("criterion missing tries")?;
-                Ok(Criterion::FullBisection {
-                    tries: tries as u32,
-                })
-            }
-            other => Err(format!("unknown criterion kind {other:?}")),
-        }
-    }
-
-    /// Absorbs the criterion into a cache-key builder (used by
-    /// [`FrontierConfig::work_key`]).
-    fn absorb(&self, kb: KeyBuilder) -> KeyBuilder {
-        match self {
-            Criterion::FullThroughput { backend } => {
-                let kb = kb.str("full_throughput");
-                match backend {
-                    MatchingBackend::Exact => kb.str("exact"),
-                    MatchingBackend::Greedy { improvement_passes } => {
-                        kb.str("greedy").u64(*improvement_passes as u64)
-                    }
-                    MatchingBackend::Auto { exact_below } => {
-                        kb.str("auto").u64(*exact_below as u64)
-                    }
-                }
-            }
-            Criterion::FullBisection { tries } => kb.str("full_bisection").u64(*tries as u64),
-        }
-    }
 }
 
 /// Does the topology satisfy the criterion?
@@ -269,75 +206,6 @@ pub struct FrontierConfig {
     pub max_switches: usize,
     /// Seed for instance construction and the partitioner.
     pub seed: u64,
-}
-
-impl FrontierConfig {
-    /// Serializes the cell as a self-contained `dcn-fleet` work-unit
-    /// payload: a worker process reconstructs the whole frontier search
-    /// from this record and nothing else.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("family", Json::Str(self.family.name().to_string())),
-            ("radix", Json::Num(self.radix as f64)),
-            ("h", Json::Num(self.h as f64)),
-            ("criterion", self.criterion.to_json()),
-            ("max_switches", Json::Num(self.max_switches as f64)),
-            ("seed", Json::Num(self.seed as f64)),
-        ])
-    }
-
-    /// Deserializes a [`FrontierConfig::to_json`] record.
-    pub fn from_json(json: &Json) -> Result<FrontierConfig, String> {
-        let family = json
-            .get("family")
-            .and_then(Json::as_str)
-            .and_then(Family::from_name)
-            .ok_or("frontier config missing or unknown family")?;
-        let radix = json
-            .get("radix")
-            .and_then(Json::as_u64)
-            .ok_or("frontier config missing radix")?;
-        let h = json
-            .get("h")
-            .and_then(Json::as_u64)
-            .ok_or("frontier config missing h")?;
-        let criterion = Criterion::from_json(
-            json.get("criterion").ok_or("frontier config missing criterion")?,
-        )?;
-        let max_switches = json
-            .get("max_switches")
-            .and_then(Json::as_u64)
-            .ok_or("frontier config missing max_switches")?;
-        let seed = json
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or("frontier config missing seed")?;
-        Ok(FrontierConfig {
-            family,
-            radix: radix as u32,
-            h: h as u32,
-            criterion,
-            max_switches: max_switches as usize,
-            seed,
-        })
-    }
-
-    /// The cell's 128-bit content key: a stable identity derived from
-    /// every field, used by `dcn-fleet` as the work id (and thus as the
-    /// queue/result file stem), so a restarted sweep recognizes its own
-    /// half-finished cells across processes.
-    pub fn work_key(&self) -> CacheKey {
-        self.criterion
-            .absorb(
-                KeyBuilder::new("frontier-cell")
-                    .str(self.family.name())
-                    .u64(self.radix as u64)
-                    .u64(self.h as u64),
-            )
-            .u64(self.max_switches as u64)
-            .u64(self.seed)
-            .finish()
-    }
 }
 
 /// Computes [`frontier_max_servers`] for every configuration, fanning out
@@ -502,73 +370,5 @@ mod tests {
     #[test]
     fn radix_must_exceed_h() {
         assert!(Family::Jellyfish.build(10, 4, 4, 1).is_err());
-    }
-
-    #[test]
-    fn config_json_round_trips_and_keys_are_stable() {
-        let configs = [
-            FrontierConfig {
-                family: Family::Jellyfish,
-                radix: 14,
-                h: 4,
-                criterion: Criterion::FullThroughput {
-                    backend: MatchingBackend::Auto { exact_below: 600 },
-                },
-                max_switches: 384,
-                seed: 5,
-            },
-            FrontierConfig {
-                family: Family::Xpander,
-                radix: 32,
-                h: 8,
-                criterion: Criterion::FullBisection { tries: 3 },
-                max_switches: 4096,
-                seed: 7,
-            },
-            FrontierConfig {
-                family: Family::FatClique,
-                radix: 12,
-                h: 3,
-                criterion: Criterion::FullThroughput {
-                    backend: MatchingBackend::Greedy {
-                        improvement_passes: 2,
-                    },
-                },
-                max_switches: 1536,
-                seed: 0,
-            },
-        ];
-        let mut keys = std::collections::BTreeSet::new();
-        for c in configs {
-            let back = FrontierConfig::from_json(&c.to_json()).unwrap();
-            assert_eq!(back, c);
-            // Round-tripping must preserve the work identity, and all
-            // three cells must key differently.
-            assert_eq!(back.work_key(), c.work_key());
-            assert!(keys.insert(c.work_key().to_hex()));
-        }
-    }
-
-    #[test]
-    fn work_key_separates_every_field() {
-        let base = FrontierConfig {
-            family: Family::Jellyfish,
-            radix: 14,
-            h: 4,
-            criterion: Criterion::FullBisection { tries: 3 },
-            max_switches: 384,
-            seed: 5,
-        };
-        let variants = [
-            FrontierConfig { family: Family::Xpander, ..base },
-            FrontierConfig { radix: 15, ..base },
-            FrontierConfig { h: 5, ..base },
-            FrontierConfig { criterion: Criterion::FullBisection { tries: 4 }, ..base },
-            FrontierConfig { max_switches: 385, ..base },
-            FrontierConfig { seed: 6, ..base },
-        ];
-        for v in variants {
-            assert_ne!(v.work_key(), base.work_key(), "{v:?} collided with base");
-        }
     }
 }

@@ -46,53 +46,6 @@ impl Default for MatchingBackend {
     }
 }
 
-impl MatchingBackend {
-    /// Serializes the backend for `dcn-fleet` work-unit payloads.
-    pub fn to_json(&self) -> Json {
-        match self {
-            MatchingBackend::Exact => Json::obj([("kind", Json::Str("exact".to_string()))]),
-            MatchingBackend::Greedy { improvement_passes } => Json::obj([
-                ("kind", Json::Str("greedy".to_string())),
-                ("improvement_passes", Json::Num(*improvement_passes as f64)),
-            ]),
-            MatchingBackend::Auto { exact_below } => Json::obj([
-                ("kind", Json::Str("auto".to_string())),
-                ("exact_below", Json::Num(*exact_below as f64)),
-            ]),
-        }
-    }
-
-    /// Deserializes a [`MatchingBackend::to_json`] record.
-    pub fn from_json(json: &Json) -> Result<MatchingBackend, String> {
-        let kind = json
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("matching backend missing kind")?;
-        match kind {
-            "exact" => Ok(MatchingBackend::Exact),
-            "greedy" => {
-                let improvement_passes = json
-                    .get("improvement_passes")
-                    .and_then(Json::as_u64)
-                    .ok_or("greedy backend missing improvement_passes")?;
-                Ok(MatchingBackend::Greedy {
-                    improvement_passes: improvement_passes as usize,
-                })
-            }
-            "auto" => {
-                let exact_below = json
-                    .get("exact_below")
-                    .and_then(Json::as_u64)
-                    .ok_or("auto backend missing exact_below")?;
-                Ok(MatchingBackend::Auto {
-                    exact_below: exact_below as usize,
-                })
-            }
-            other => Err(format!("unknown matching backend kind {other:?}")),
-        }
-    }
-}
-
 /// Result of a tub computation.
 #[derive(Debug, Clone)]
 pub struct TubResult {

@@ -1,10 +1,11 @@
-//! The exec determinism contract, end to end: a full resilience curve and
-//! a near-worst traffic search must be *byte-identical* under
-//! `DCN_EXEC_THREADS=1` and `DCN_EXEC_THREADS=4`.
+//! The exec determinism contract, end to end: a full resilience curve, a
+//! near-worst traffic search, and a Fig. 8 frontier sweep must be
+//! *byte-identical* under `DCN_EXEC_THREADS=1` and `DCN_EXEC_THREADS=4`.
 //!
 //! Everything lives in one `#[test]` because the thread count is a
 //! process-global environment variable: separate tests would race on it.
 
+use dcn_core::frontier::{frontier_sweep, Criterion, Family, FrontierConfig};
 use dcn_core::nearworst::adversarial_search;
 use dcn_core::resilience::failure_sweep;
 use dcn_core::MatchingBackend;
@@ -121,5 +122,55 @@ fn thread_count_never_changes_results() {
             assert_eq!(dn.theta_start.to_bits(), n1.theta_start.to_bits());
             assert_eq!(dn.improvements, n1.improvements);
         });
+    }
+
+    // 5. Frontier sweep: four cheap Fig. 8 cells (two families, both
+    // criteria), uncached and then cold and warm against one shared
+    // cache. Each cell's search is adaptive, so any thread-dependent probe
+    // answer would move the frontier itself. H = 2 on radix 8 puts three
+    // of the four transitions inside the 64-switch cap (at H = 3 even the
+    // smallest instance fails and every cell is `None`).
+    let mut configs = Vec::new();
+    for family in [Family::Jellyfish, Family::Xpander] {
+        for criterion in [
+            Criterion::FullThroughput {
+                backend: MatchingBackend::Auto { exact_below: 600 },
+            },
+            Criterion::FullBisection { tries: 2 },
+        ] {
+            configs.push(FrontierConfig {
+                family,
+                radix: 8,
+                h: 2,
+                criterion,
+                max_switches: 64,
+                seed: 5,
+            });
+        }
+    }
+    let frontier = |threads: usize, cache: &dcn_cache::CacheHandle| {
+        with_threads(threads, || {
+            frontier_sweep(&configs, &SolveCtx::unlimited(cache)).unwrap()
+        })
+    };
+    let cache = dcn_cache::CacheHandle::in_memory(1 << 24);
+    let frontiers = [
+        frontier(1, &nocache()),
+        frontier(4, &nocache()),
+        frontier(1, &cache), // cold
+        frontier(4, &cache), // warm
+        frontier(1, &cache), // warm
+    ];
+    assert_eq!(frontiers[0].len(), configs.len());
+    assert!(
+        frontiers[0].iter().filter(|f| f.is_some()).count() >= 3,
+        "{:?}",
+        frontiers[0]
+    );
+    for pair in frontiers.windows(2) {
+        assert_eq!(
+            pair[0], pair[1],
+            "frontier sweep depends on threads or cache"
+        );
     }
 }

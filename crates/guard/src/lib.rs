@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod adversarial;
-pub mod lease;
 pub mod tol;
 pub mod validate;
 
@@ -56,8 +55,6 @@ pub mod validate;
 /// read outside tests goes through a `dcn_guard::env` constant, and
 /// `dcn-lint`'s `env-registry` rule rejects raw `std::env::var` sites.
 pub use dcn_obs::env;
-
-pub use lease::Lease;
 pub use validate::{validation_enabled, CertError};
 
 /// Convenience re-exports for call sites of the budgeted solver API.

@@ -88,8 +88,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "nondeterminism",
         severity: Severity::Error,
-        summary: "clocks only in guard/obs/exec/trace/fleet; threads only in exec; processes only \
-                  in fleet; no unseeded RNG outside tests",
+        summary: "clocks only in guard/obs/exec/trace; threads only in exec; no process spawns \
+                  in library code; no unseeded RNG outside tests",
     },
     RuleInfo {
         id: "unsafe-forbid",
@@ -111,13 +111,13 @@ pub const RULES: &[RuleInfo] = &[
         id: "blocking-under-lock",
         severity: Severity::Error,
         summary: "no file I/O, process spawns, sleeps, or channel recv while a lock guard \
-                  is live in obs/trace/cache/exec/fleet",
+                  is live in obs/trace/cache/exec",
     },
     RuleInfo {
         id: "atomic-ordering",
         severity: Severity::Error,
         summary: "every atomic load/store/swap/fetch_*/compare_exchange names a literal \
-                  Ordering; SeqCst outside exec/fleet needs a justified allow",
+                  Ordering; SeqCst outside exec needs a justified allow",
     },
     RuleInfo {
         id: "env-registry",
@@ -157,22 +157,14 @@ pub const PANIC_FREE_EXTRA_CRATES: &[&str] = &["obs", "trace"];
 
 /// Crates allowed to read wall clocks: `guard` (deadlines) and `obs`
 /// (span timing) exist to encapsulate time, `exec` re-checks budget
-/// deadlines between pool tasks, `trace` timestamps trace events
-/// against its process-wide monotonic origin, and `fleet` measures
-/// worker leases and retry backoff against real wall time.
-pub const CLOCK_CRATES: &[&str] = &["guard", "obs", "exec", "trace", "fleet"];
+/// deadlines between pool tasks, and `trace` timestamps trace events
+/// against its process-wide monotonic origin.
+pub const CLOCK_CRATES: &[&str] = &["guard", "obs", "exec", "trace"];
 
 /// The one crate allowed to spawn OS threads. Every other crate reaches
 /// parallelism through [`dcn_exec`]'s deterministic pool, so fan-out
 /// cannot silently reorder merges or leak thread-count dependence.
 pub const THREAD_CRATES: &[&str] = &["exec"];
-
-/// The one crate allowed to spawn OS processes. Multi-process fan-out
-/// goes through [`dcn_fleet`]'s supervised queue (leases, bounded retry,
-/// quarantine, input-order merge); ad-hoc `Command` use elsewhere would
-/// escape crash detection and the determinism contract the same way
-/// ad-hoc threads would escape the pool's ordered merge.
-pub const PROC_CRATES: &[&str] = &["fleet"];
 
 /// The workspace's declared global lock-acquisition order, outermost
 /// first: the obs metric registry, then the obs span table, then the
@@ -185,15 +177,15 @@ pub const LOCK_ORDER: &[&str] = &["REGISTRY", "SPANS", "drained", "shards"];
 /// `blocking-under-lock`): the concurrent service crates that own or
 /// drive the ordered locks. Solver crates hold no locks at all (the
 /// nondeterminism rule already keeps threads out of them).
-pub const LOCK_CRATES: &[&str] = &["obs", "trace", "cache", "exec", "fleet"];
+pub const LOCK_CRATES: &[&str] = &["obs", "trace", "cache", "exec"];
 
-/// Crates allowed to use `Ordering::SeqCst`: only the fan-out engines,
+/// Crates allowed to use `Ordering::SeqCst`: only the fan-out engine,
 /// where cross-thread shutdown handoff could conceivably need it. The
 /// workspace's other atomics are monotone counters and latched flags,
 /// for which `Relaxed` (or `Acquire`/`Release` for payload handoff) is
 /// sufficient — a stray `SeqCst` usually hides a missing happens-before
 /// argument rather than supplying one.
-pub const SEQCST_CRATES: &[&str] = &["exec", "fleet"];
+pub const SEQCST_CRATES: &[&str] = &["exec"];
 
 /// Minimum justification length (characters after the allow's rule list).
 pub const MIN_JUSTIFICATION: usize = 8;
@@ -862,17 +854,14 @@ fn nondeterminism(files: &[SourceFile], diags: &mut Vec<Diagnostic>) {
             }
         }
     }
-    // Process spawning is likewise scanned over all non-fleet crates:
-    // multi-process fan-out must go through dcn-fleet's supervised queue
-    // so crashes are detected, retries are bounded, and merges stay in
-    // input order.
+    // Process spawning is banned in every crate: all parallelism is
+    // in-process through dcn-exec, whose ordered merge is what keeps
+    // results thread-count-independent.
     const PROCS: &[&str] = &["Command::new"];
-    for f in files.iter().filter(|f| {
-        f.krate
-            .as_deref()
-            .is_some_and(|k| !PROC_CRATES.contains(&k))
-            && !f.is_test_code
-    }) {
+    for f in files
+        .iter()
+        .filter(|f| f.krate.is_some() && !f.is_test_code)
+    {
         for &pat in PROCS {
             let mut from = 0;
             while let Some(p) = f.masked[from..].find(pat) {
@@ -887,9 +876,9 @@ fn nondeterminism(files: &[SourceFile], diags: &mut Vec<Diagnostic>) {
                     f,
                     at,
                     format!(
-                        "`{pat}` outside dcn-fleet; fan out across processes through \
-                         dcn_fleet::run_fleet so workers are leased, crashes retried, \
-                         and results merged in input order"
+                        "`{pat}` spawns a process; fan out through the dcn_exec::Pool \
+                         instead, so merges stay input-ordered and results are \
+                         thread-count-independent"
                     ),
                 );
             }
@@ -1350,7 +1339,7 @@ fn atomic_ordering(f: &SourceFile, index: &WorkspaceIndex, diags: &mut Vec<Diagn
                 "atomic-ordering",
                 f,
                 at,
-                "`Ordering::SeqCst` outside exec/fleet; the workspace's atomics are \
+                "`Ordering::SeqCst` outside exec; the workspace's atomics are \
                  counters and latched flags, for which Relaxed (or Acquire/Release \
                  for handoff) suffices — justify with an allow if this site truly \
                  needs a total order"
@@ -1777,21 +1766,28 @@ mod tests {
     }
 
     #[test]
-    fn nondeterminism_flags_process_spawns_outside_fleet() {
-        let fleet = file(
-            "crates/fleet/src/x.rs",
+    fn nondeterminism_flags_process_spawns_in_every_crate() {
+        // No crate is exempt, not even the thread and clock crate.
+        let exec = file(
+            "crates/exec/src/x.rs",
             "fn a() { std::process::Command::new(\"x\").spawn(); }\n",
         );
-        // Fleet may spawn processes *and* read the clocks its leases need.
-        let fleet_clock = file("crates/fleet/src/y.rs", "fn a() { Instant::now(); }\n");
         let core = file(
             "crates/core/src/x.rs",
             "fn a() { std::process::Command::new(\"x\").spawn(); }\n",
         );
+        let test = file(
+            "crates/core/tests/x.rs",
+            "fn a() { std::process::Command::new(\"x\").spawn(); }\n",
+        );
         let mut d = Vec::new();
-        nondeterminism(&[fleet, fleet_clock, core], &mut d);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].file, "crates/core/src/x.rs");
-        assert!(d[0].message.contains("dcn_fleet::run_fleet"), "{d:?}");
+        nondeterminism(&[exec, core, test], &mut d);
+        let files: Vec<&str> = d.iter().map(|x| x.file.as_str()).collect();
+        assert_eq!(
+            files,
+            ["crates/exec/src/x.rs", "crates/core/src/x.rs"],
+            "{d:?}"
+        );
+        assert!(d[0].message.contains("dcn_exec::Pool"), "{d:?}");
     }
 }

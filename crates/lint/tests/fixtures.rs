@@ -84,7 +84,7 @@ fn clean_tree_is_quiet_and_honors_allows() {
     // panic-freedom, budget-coverage, nondeterminism, metric-registry,
     // doc-coverage — plus one panic-freedom allow in obs library code,
     // one metric-registry allow at a `trace_instant` call site, one
-    // nondeterminism allow on a process spawn outside dcn-fleet, and one
+    // nondeterminism allow on a process spawn in library code, and one
     // each for the v2 rules: lock-order, blocking-under-lock,
     // atomic-ordering, env-registry.
     // ...and one budget-coverage allow on a staged legacy twin-tail

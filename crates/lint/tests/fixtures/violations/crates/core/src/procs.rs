@@ -1,4 +1,4 @@
-//! Fixture: ad-hoc process spawn outside dcn-fleet.
+//! Fixture: ad-hoc process spawn in library code.
 
 /// Fixture: documented ad-hoc process fan-out.
 pub fn fan_out() {

@@ -136,50 +136,6 @@ pub const BENCH_BASELINE: EnvVar = EnvVar {
     doc: "Perf-gate baseline file compared against fresh manifests (refreshed with `--baseline`).",
 };
 
-// --- dcn-fleet -------------------------------------------------------------
-
-/// Fleet worker-process count.
-pub const FLEET_WORKERS: EnvVar = EnvVar {
-    name: "DCN_FLEET_WORKERS",
-    default: "1 (in-process passthrough)",
-    doc: "Worker-process count for sharded sweeps; sweeps shard only at 2 or more.",
-};
-
-/// Fleet queue root override.
-pub const FLEET_DIR: EnvVar = EnvVar {
-    name: "DCN_FLEET_DIR",
-    default: "under DCN_CACHE_DIR, else under the results dir",
-    doc: "Root directory of the spill-to-disk work queue for sharded sweeps.",
-};
-
-/// Per-unit worker lease.
-pub const FLEET_LEASE_SECS: EnvVar = EnvVar {
-    name: "DCN_FLEET_LEASE_SECS",
-    default: "600",
-    doc: "Wall-clock lease per claimed unit; a worker holding a claim past it is SIGKILLed and the unit retried.",
-};
-
-/// Retry cap before quarantine.
-pub const FLEET_MAX_RETRIES: EnvVar = EnvVar {
-    name: "DCN_FLEET_MAX_RETRIES",
-    default: "2",
-    doc: "Crash retries per unit before it is quarantined as poison.",
-};
-
-/// Retry backoff base.
-pub const FLEET_BACKOFF_MS: EnvVar = EnvVar {
-    name: "DCN_FLEET_BACKOFF_MS",
-    default: "50",
-    doc: "Base of the exponential per-unit retry backoff (`base * 2^attempt` milliseconds).",
-};
-
-/// Crash-injection test hook.
-pub const FLEET_INJECT_KILL_AFTER: EnvVar = EnvVar {
-    name: "DCN_FLEET_INJECT_KILL_AFTER",
-    default: "unset",
-    doc: "Test hook: after this many units complete, SIGKILL one live worker exactly once (exercises crash recovery).",
-};
-
 // --- dcnd ------------------------------------------------------------------
 
 /// Unix socket path the daemon listens on.
@@ -230,12 +186,6 @@ pub const ALL: &[&EnvVar] = &[
     &TRACE_MAX_EVENTS,
     &RESULTS_DIR,
     &BENCH_BASELINE,
-    &FLEET_WORKERS,
-    &FLEET_DIR,
-    &FLEET_LEASE_SECS,
-    &FLEET_MAX_RETRIES,
-    &FLEET_BACKOFF_MS,
-    &FLEET_INJECT_KILL_AFTER,
     &DCND_SOCKET,
     &DCND_QUEUE_DEPTH,
     &DCND_MAX_INFLIGHT,

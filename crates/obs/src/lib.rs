@@ -235,14 +235,16 @@ const N_BUCKETS: usize = ((MAX_EXP - MIN_EXP) as usize) * SUBBUCKETS + 2;
 /// A log-bucketed histogram of non-negative `f64` samples.
 ///
 /// Recording is one relaxed atomic add into a bucket chosen from the
-/// sample's exponent and top mantissa bits — no locks, no allocation.
+/// sample's exponent and top mantissa bits, plus a relaxed CAS into the
+/// running sum — no locks, no allocation.
 /// Quantiles are estimated as the geometric midpoint of the bucket holding
 /// the requested rank, giving ~9% relative accuracy.
 pub struct Histogram {
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
-    /// Sum stored as integer nano-units to stay atomic without a lock.
-    sum_nanos: AtomicU64,
+    /// Sum stored as `f64` bits: lock-free, and it cannot wrap the way an
+    /// integer nano-unit sum of nanosecond samples would (after ~18 s).
+    sum_bits: AtomicU64,
 }
 
 impl Histogram {
@@ -252,7 +254,7 @@ impl Histogram {
         Histogram {
             buckets,
             count: AtomicU64::new(0),
-            sum_nanos: AtomicU64::new(0),
+            sum_bits: AtomicU64::new(0),
         }
     }
 
@@ -290,8 +292,12 @@ impl Histogram {
         self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         if v.is_finite() && v > 0.0 {
-            self.sum_nanos
-                .fetch_add((v * 1e9) as u64, Ordering::Relaxed);
+            // The closure always returns `Some`, so the update cannot fail.
+            let _ = self
+                .sum_bits
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                    Some((f64::from_bits(bits) + v).to_bits())
+                });
         }
     }
 
@@ -306,9 +312,9 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of recorded samples (nano-unit precision).
+    /// Sum of recorded samples.
     pub fn sum(&self) -> f64 {
-        self.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9
+        f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
     }
 
     /// Mean of recorded samples (0 when empty).
@@ -358,7 +364,7 @@ impl Histogram {
             b.store(0, Ordering::Relaxed);
         }
         self.count.store(0, Ordering::Relaxed);
-        self.sum_nanos.store(0, Ordering::Relaxed);
+        self.sum_bits.store(0.0f64.to_bits(), Ordering::Relaxed);
     }
 }
 

@@ -133,26 +133,6 @@ pub const EXEC_POOL_THREADS: &str = "exec.pool.threads";
 /// the submitting thread's span path via cross-thread attribution.
 pub const EXEC_POOL_TASK: &str = "exec.pool.task";
 
-// --- dcn-fleet -------------------------------------------------------------
-
-/// Work units written into the spill-to-disk queue (counter).
-pub const FLEET_UNITS_ENQUEUED: &str = "fleet.units.enqueued";
-/// Units whose results were already on disk at supervisor startup —
-/// crash recovery from a previous run (counter).
-pub const FLEET_UNITS_RECOVERED: &str = "fleet.units.recovered";
-/// Units newly completed by workers during this supervision (counter).
-pub const FLEET_UNITS_COMPLETED: &str = "fleet.units.completed";
-/// Units re-enqueued after a worker crash or lease kill (counter).
-pub const FLEET_UNITS_RETRIED: &str = "fleet.units.retried";
-/// Poison units quarantined after exhausting their retries (counter).
-pub const FLEET_UNITS_QUARANTINED: &str = "fleet.units.quarantined";
-/// Worker processes spawned by the supervisor (counter).
-pub const FLEET_WORKER_SPAWNS: &str = "fleet.worker.spawns";
-/// Worker processes that exited abnormally (counter).
-pub const FLEET_WORKER_CRASHES: &str = "fleet.worker.crashes";
-/// Workers SIGKILLed for holding a claim past its lease (counter).
-pub const FLEET_WORKER_LEASE_KILLS: &str = "fleet.worker.lease_kills";
-
 // --- dcn-guard -------------------------------------------------------------
 
 /// Post-solve certificate validation failures (counter).
@@ -279,14 +259,6 @@ pub const ALL: &[&str] = &[
     EXEC_POOL_WORKER_BUSY_NS,
     EXEC_POOL_THREADS,
     EXEC_POOL_TASK,
-    FLEET_UNITS_ENQUEUED,
-    FLEET_UNITS_RECOVERED,
-    FLEET_UNITS_COMPLETED,
-    FLEET_UNITS_RETRIED,
-    FLEET_UNITS_QUARANTINED,
-    FLEET_WORKER_SPAWNS,
-    FLEET_WORKER_CRASHES,
-    FLEET_WORKER_LEASE_KILLS,
     GUARD_VALIDATE_FAILURES,
     GUARD_BUDGET_ITERATIONS_EXCEEDED,
     GUARD_BUDGET_DEADLINE_EXCEEDED,

@@ -1,6 +1,6 @@
 //! Integration tests for dcn-obs: histogram quantile accuracy on known
-//! distributions, concurrent counter increments, nested-span attribution,
-//! and manifest round-trips.
+//! distributions, overflow-free and concurrent histogram sums, concurrent
+//! counter increments, nested-span attribution, and manifest round-trips.
 //!
 //! All tests share one process, so observability is forced on once before
 //! the mode is first read (spans are inert under the default `off`).
@@ -66,6 +66,37 @@ fn histogram_extremes_clamp_not_panic() {
     }
     assert_eq!(h.count(), 6);
     assert!(h.quantile(1.0).is_finite());
+}
+
+#[test]
+fn histogram_sum_of_nanosecond_samples_does_not_wrap() {
+    init();
+    // 25 s of busy time recorded in nanoseconds, as `exec.pool.worker_busy_ns`
+    // does: a sum kept in integer nano-units would overflow u64 at ~18 s.
+    let h = histogram!("obs.itest.ns_sum");
+    for _ in 0..25 {
+        h.record(1e9);
+    }
+    assert_eq!(h.sum(), 2.5e10);
+}
+
+#[test]
+fn concurrent_histogram_sums_lose_nothing() {
+    init();
+    const THREADS: usize = 8;
+    const PER_THREAD: u64 = 5_000;
+    let h = histogram!("obs.itest.concurrent_sum");
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                for _ in 0..PER_THREAD {
+                    h.record(1.0);
+                }
+            });
+        }
+    });
+    assert_eq!(h.count(), THREADS as u64 * PER_THREAD);
+    assert_eq!(h.sum(), (THREADS as u64 * PER_THREAD) as f64);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Diff two run manifests under the exec determinism contract.
 
-Usage: manifest_diff.py [--hist-rtol R] [--fleet] A.manifest.json B.manifest.json
+Usage: manifest_diff.py [--hist-rtol R] A.manifest.json B.manifest.json
 
 Compares everything that is supposed to be deterministic across
 `DCN_EXEC_THREADS` values:
@@ -26,15 +26,6 @@ runs or thread counts:
   * `wall_seconds` and `args`
   * gauge / span values and duration histograms (they carry thread
     counts and wall-clock durations; their *presence* is still checked)
-
-With `--fleet`, only the identity fields (`name`, `seed`, `mode`) are
-compared. A dcn-fleet run moves the per-cell solves into worker
-processes, so the supervisor's manifest legitimately records different
-counters and metric sets than a single-process run (cells solved
-elsewhere never bump the supervisor's solver counters; fleet.* metrics
-only exist in fleet mode). The fleet determinism contract pins stdout
-and CSV bytes instead — this mode just checks the manifests describe
-the same experiment.
 
 Exit codes:
 
@@ -65,9 +56,6 @@ def rel_close(a, b, rtol):
 def main():
     argv = sys.argv[1:]
     rtol = 0.25
-    fleet = "--fleet" in argv
-    if fleet:
-        argv.remove("--fleet")
     if "--hist-rtol" in argv:
         at = argv.index("--hist-rtol")
         try:
@@ -84,15 +72,6 @@ def main():
     for key in ("name", "seed", "mode"):
         if a.get(key) != b.get(key):
             errors.append(f"{key}: {a.get(key)!r} != {b.get(key)!r}")
-
-    if fleet:
-        if errors:
-            print(f"manifest diff: {len(errors)} difference(s)")
-            for e in errors:
-                print(f"  [deterministic] {e}")
-            sys.exit(1)
-        print("manifests agree on all identity fields (fleet mode)")
-        return
 
     ma = {(m["name"], m["kind"]): m for m in a.get("metrics", [])}
     mb = {(m["name"], m["kind"]): m for m in b.get("metrics", [])}

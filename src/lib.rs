@@ -5,7 +5,6 @@
 pub use dcn_cache as cache;
 pub use dcn_core as core;
 pub use dcn_estimators as estimators;
-pub use dcn_fleet as fleet;
 pub use dcn_graph as graph;
 pub use dcn_guard as guard;
 pub use dcn_lp as lp;
