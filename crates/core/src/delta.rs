@@ -88,6 +88,7 @@ impl<'a> TubDeltaParent<'a> {
             dist.dist(u, v) as i64 * h
         };
         let (_, state) = hungarian_max_stateful(k.len(), weight, ctx.budget).ok()?;
+        dcn_obs::counter!(dcn_obs::names::MATCH_HUNGARIAN_STEPS).add(state.steps());
         let parent_key = tub_key(topo, backend);
         Some(TubDeltaParent {
             topo,
@@ -191,8 +192,9 @@ impl<'a> TubDeltaParent<'a> {
         // a weight that moved less than its slack perturbs nothing. Let
         // the matcher derive the rows that genuinely need re-augmenting
         // from its own feasibility/tightness conditions.
-        let (matching, _, reaugmented) = self.state.rematch_auto(weight, budget)?;
+        let (matching, state, reaugmented) = self.state.rematch_auto(weight, budget)?;
         dcn_obs::counter!(dcn_obs::names::DELTA_MATCHING_PATCHED).inc();
+        dcn_obs::counter!(dcn_obs::names::MATCH_HUNGARIAN_STEPS).add(state.steps());
         dcn_obs::obs_log!(
             "core.delta: re-augmented {reaugmented}/{} matching rows",
             self.k.len()
@@ -275,6 +277,36 @@ mod tests {
             compared += 1;
         }
         assert!(compared > 0, "no connected failure sample to compare");
+    }
+
+    #[test]
+    fn delta_rematch_counts_its_hungarian_steps() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let topo = jellyfish(32, 6, 3, &mut rng).unwrap();
+        let parent = TubDeltaParent::prepare(&topo, MatchingBackend::Exact, &unlimited_ctx())
+            .expect("exact parent");
+        let mut fail_rng = StdRng::seed_from_u64(23);
+        let child = loop {
+            if let Ok(c) = fail_random_links(&topo, 0.15, &mut fail_rng) {
+                break c;
+            }
+        };
+        let k = child.switches_with_servers();
+        let dist = DistMatrix::from_sources(child.graph(), &k).unwrap();
+        let weight = |i: usize, j: usize| -> i64 {
+            if i == j {
+                return 0;
+            }
+            let h = child.servers_at(k[i]).min(child.servers_at(k[j])) as i64;
+            dist.dist(k[i], k[j]) as i64 * h
+        };
+        let (_, state, _) = parent.state.rematch_auto(weight, &Budget::unlimited()).unwrap();
+        assert!(state.steps() > 0, "the failures dirty some row");
+        // Other tests add to the process-wide counter concurrently.
+        let steps = || dcn_obs::counter_value(dcn_obs::names::MATCH_HUNGARIAN_STEPS);
+        let before = steps();
+        parent.tub_or_cold(&child, MatchingBackend::Exact, &unlimited_ctx()).unwrap();
+        assert!(steps() - before >= state.steps());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::CoreError;
 use dcn_cache::{CacheEntry, CacheKey, KeyBuilder, SolveCtx};
 use dcn_graph::{DistMatrix, NodeId};
 use dcn_guard::Budget;
-use dcn_match::{greedy_max, hungarian_max, improve_2swap, Matching};
+use dcn_match::{greedy_max, hungarian_max_stateful, improve_2swap, Matching};
 use dcn_model::{Topology, TrafficMatrix};
 use dcn_obs::json::Json;
 
@@ -290,8 +290,11 @@ fn run_matching(
     // greedy path is O(n^2) with no unbounded loops, so it always
     // completes; soundness is preserved because Equation 1 minimizes over
     // permutations — any permutation upper-bounds throughput.
-    let exact_or_greedy = |passes: usize| match hungarian_max(n, weight, budget) {
-        Ok(m) => (m, "hungarian", false),
+    let exact_or_greedy = |passes: usize| match hungarian_max_stateful(n, weight, budget) {
+        Ok((m, state)) => {
+            dcn_obs::counter!(dcn_obs::names::MATCH_HUNGARIAN_STEPS).add(state.steps());
+            (m, "hungarian", false)
+        }
         Err(e) => {
             dcn_obs::counter!(dcn_obs::names::CORE_TUB_FALLBACKS).inc();
             dcn_obs::obs_log!("core.tub: hungarian aborted ({e}); using greedy fallback");
@@ -453,6 +456,22 @@ mod tests {
         // And repeated unlimited calls agree.
         let b = tub(&t, MatchingBackend::Exact, &unlimited_ctx()).unwrap();
         assert_eq!(b.bound, exact.bound);
+    }
+
+    #[test]
+    fn exact_tub_counts_hungarian_steps() {
+        let t = ring(8, 1);
+        let all: Vec<NodeId> = (0..8).collect();
+        let dist = DistMatrix::from_sources(t.graph(), &all).unwrap();
+        let weight = |i: usize, j: usize| dist.dist(all[i], all[j]) as i64;
+        let (_, state) = hungarian_max_stateful(8, weight, &Budget::unlimited()).unwrap();
+        assert!(state.steps() >= 8, "at least one step per row");
+        // The counter is process-wide and other tests add to it
+        // concurrently, so this solve adds at least its own steps.
+        let steps = || dcn_obs::counter_value(dcn_obs::names::MATCH_HUNGARIAN_STEPS);
+        let before = steps();
+        tub(&t, MatchingBackend::Exact, &unlimited_ctx()).unwrap();
+        assert!(steps() - before >= state.steps());
     }
 
     #[test]

@@ -74,6 +74,10 @@ pub const MCF_EXACT_ROWS: &str = "mcf.exact.rows";
 
 // --- dcn-match / dcn-partition --------------------------------------------
 
+/// Exact Hungarian shortest-path steps, one per budget tick, added once per
+/// completed solve (counter). dcn-match has no metrics dependency; dcn-core
+/// records it from `HungarianState::steps` on the TUB and delta paths.
+pub const MATCH_HUNGARIAN_STEPS: &str = "match.hungarian.steps";
 /// Kernighan–Lin/FM refinement passes (counter).
 pub const PARTITION_FM_PASSES: &str = "partition.fm.passes";
 /// FM vertex moves accepted (counter).
@@ -234,6 +238,7 @@ pub const ALL: &[&str] = &[
     MCF_EXACT_SOLVE,
     MCF_EXACT_COLUMNS,
     MCF_EXACT_ROWS,
+    MATCH_HUNGARIAN_STEPS,
     PARTITION_FM_PASSES,
     PARTITION_FM_MOVES,
     PARTITION_COARSEN_ROUNDS,
