@@ -1,16 +1,13 @@
-//! Incremental-solver benchmark: `DCN_DELTA=on` vs from-scratch for the
-//! fig10 resilience sweep, the near-worst search, and a per-sample exact
-//! KSP-MCF failure study.
+//! Incremental-solver benchmark: delta re-solving vs from-scratch for the
+//! fig10 resilience sweep and a per-sample exact KSP-MCF failure study.
 //!
 //! Sweeps radix 16 and 32 Jellyfish fabrics at two sizes (the fig10
-//! operating points). Three phases per topology, each reporting cold (no cache, no
-//! delta), cached (second run against a warm in-memory cache), and delta
-//! (no cache, `DCN_DELTA=on`) wall-clock:
+//! operating points). Two phases per topology:
 //!
-//! * `resilience` — the Figure 10 failure sweep (delta-TUB reuses the
-//!   unfailed parent's distance matrix and Hungarian duals per sample);
-//! * `nearworst` — the adversarial 2-swap search (PairMemo reuses per-pair
-//!   path enumerations across proposals);
+//! * `resilience` — the Figure 10 failure sweep. Cold solves every sample
+//!   with an uncached cold `tub`; cached replays the sweep against a warm
+//!   in-memory cache; delta is `failure_sweep` without a cache, which
+//!   re-matches every sample off the unfailed parent's Hungarian duals;
 //! * `exact_mcf` — single-link failures solved exactly, cold
 //!   (re-enumerate + fresh simplex) vs [`DeltaCtx`] (prune + warm-started
 //!   simplex from the parent basis).
@@ -23,12 +20,15 @@
 use dcn_bench::{f3, quick_mode, run_guarded, timed, Table};
 use dcn_cache::{CacheHandle, SolveCtx};
 use dcn_core::frontier::Family;
-use dcn_core::nearworst::adversarial_search;
-use dcn_core::resilience::failure_sweep;
-use dcn_core::MatchingBackend;
+use dcn_core::resilience::{failure_sweep, FailurePoint};
+use dcn_core::{tub, MatchingBackend};
+use dcn_exec::{task_seed, Pool};
 use dcn_guard::prelude::*;
 use dcn_mcf::{exact, DeltaCtx, PathSet, SharedPathSet};
 use dcn_model::{Topology, TrafficMatrix};
+use dcn_topo::fail_random_links;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -36,15 +36,46 @@ fn main() -> ExitCode {
     run_guarded("delta_resilience", run)
 }
 
-fn with_delta<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    if on {
-        std::env::set_var("DCN_DELTA", "on");
-    } else {
-        std::env::remove_var("DCN_DELTA");
-    }
-    let out = f();
-    std::env::remove_var("DCN_DELTA");
-    out
+/// `failure_sweep` from cold parts: every sample draws its failures from
+/// its own `task_seed` stream and solves an uncached cold `tub`, fanned
+/// out over the same pool as the sweep's samples.
+fn cold_sweep(
+    topo: &Topology,
+    fractions: &[f64],
+    trials: u32,
+    backend: MatchingBackend,
+    seed: u64,
+    budget: &Budget,
+) -> Result<Vec<FailurePoint>, dcn_core::CoreError> {
+    let nocache = CacheHandle::disabled();
+    let ctx = SolveCtx::new(&nocache, budget);
+    let theta0 = tub(topo, backend, &ctx)?.bound.min(1.0);
+    let trials = trials as usize;
+    let sample_fractions: Vec<f64> = fractions
+        .iter()
+        .flat_map(|&f| std::iter::repeat_n(f, trials))
+        .collect();
+    let samples = Pool::from_env().par_map(budget, &sample_fractions, |i, &f| {
+        let mut rng = StdRng::seed_from_u64(task_seed(seed, i as u64));
+        match fail_random_links(topo, f, &mut rng) {
+            Ok(child) => Ok(Some(tub(&child, backend, &ctx)?.bound.min(1.0))),
+            Err(_) => Ok::<_, dcn_core::CoreError>(None),
+        }
+    })?;
+    Ok(fractions
+        .iter()
+        .zip(samples.chunks(trials))
+        .map(|(&f, per_fraction)| {
+            let ok = per_fraction.iter().flatten().count() as u32;
+            let sum: f64 = per_fraction.iter().flatten().sum();
+            FailurePoint {
+                fraction: f,
+                nominal: (1.0 - f) * theta0,
+                actual: (ok > 0).then(|| sum / ok as f64),
+                trials: ok,
+            }
+        })
+        .collect())
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,7 +90,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     };
     let sizes: &[usize] = if quick_mode() { &[96] } else { &[96, 320] };
     let trials = if quick_mode() { 1 } else { 3 };
-    let iters = if quick_mode() { 6 } else { 12 };
 
     let mut t = Table::new(
         "delta_resilience",
@@ -70,25 +100,23 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let topo = Family::Jellyfish.build(n_sw, radix, h, 31)?;
 
         // Phase 1: the fig10 resilience sweep.
-        let sweep = |ctx: &SolveCtx<'_>| {
-            failure_sweep(&topo, fractions, trials, backend, 37, ctx)
-        };
         let budget = Budget::unlimited();
-        let (cold, cold_s) = timed(|| with_delta(false, || sweep(&SolveCtx::new(&CacheHandle::disabled(), &budget))));
+        let sweep = |cache: &CacheHandle| {
+            failure_sweep(&topo, fractions, trials, backend, 37, &SolveCtx::new(cache, &budget))
+        };
+        let (cold, cold_s) = timed(|| cold_sweep(&topo, fractions, trials, backend, 37, &budget));
         let cold = cold?;
         let warm_cache = CacheHandle::in_memory(1 << 26);
-        with_delta(false, || sweep(&SolveCtx::new(&warm_cache, &budget)))?;
-        let (cached, cached_s) =
-            timed(|| with_delta(false, || sweep(&SolveCtx::new(&warm_cache, &budget))));
+        sweep(&warm_cache)?;
+        let (cached, cached_s) = timed(|| sweep(&warm_cache));
         let cached = cached?;
-        let (delta, delta_s) =
-            timed(|| with_delta(true, || sweep(&SolveCtx::new(&CacheHandle::disabled(), &budget))));
+        let (delta, delta_s) = timed(|| sweep(&CacheHandle::disabled()));
         let delta = delta?;
-        let same = |a: &[dcn_core::resilience::FailurePoint],
-                    b: &[dcn_core::resilience::FailurePoint]| {
+        let same = |a: &[FailurePoint], b: &[FailurePoint]| {
             a.len() == b.len()
                 && a.iter().zip(b.iter()).all(|(x, y)| {
-                    x.actual.map(f64::to_bits) == y.actual.map(f64::to_bits)
+                    x.nominal.to_bits() == y.nominal.to_bits()
+                        && x.actual.map(f64::to_bits) == y.actual.map(f64::to_bits)
                         && x.trials == y.trials
                 })
         };
@@ -104,33 +132,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             &ok,
         ]);
 
-        // Phase 2: the near-worst search.
-        let search = |ctx: &SolveCtx<'_>| adversarial_search(&topo, iters, 6, 0.1, 37, ctx);
-        let (ncold, ncold_s) =
-            timed(|| with_delta(false, || search(&SolveCtx::new(&CacheHandle::disabled(), &budget))));
-        let ncold = ncold?;
-        with_delta(false, || search(&SolveCtx::new(&warm_cache, &budget)))?;
-        let (ncached, ncached_s) =
-            timed(|| with_delta(false, || search(&SolveCtx::new(&warm_cache, &budget))));
-        let ncached = ncached?;
-        let (ndelta, ndelta_s) =
-            timed(|| with_delta(true, || search(&SolveCtx::new(&CacheHandle::disabled(), &budget))));
-        let ndelta = ndelta?;
-        let ok = ndelta.theta.to_bits() == ncold.theta.to_bits()
-            && ndelta.improvements == ncold.improvements
-            && ncached.theta.to_bits() == ncold.theta.to_bits();
-        t.row(&[
-            &radix,
-            &topo.n_switches(),
-            &"nearworst",
-            &f3(ncold_s),
-            &f3(ncached_s),
-            &f3(ndelta_s),
-            &f3(ncold_s / ndelta_s.max(1e-9)),
-            &ok,
-        ]);
-
-        // Phase 3: exact MCF under single-link failures — re-enumerate +
+        // Phase 2: exact MCF under single-link failures — re-enumerate +
         // fresh simplex per failure vs prune + warm-started simplex off
         // the unfailed parent. The delta θ is a certified lower bound on
         // the re-enumerated θ (pruning only removes paths), so the check

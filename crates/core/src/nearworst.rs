@@ -13,7 +13,7 @@ use crate::CoreError;
 use dcn_cache::SolveCtx;
 use dcn_exec::Pool;
 use dcn_graph::NodeId;
-use dcn_mcf::{ksp_mcf_throughput, throughput_on_paths, Engine, PairMemo};
+use dcn_mcf::{Engine, PairMemo};
 use dcn_model::{Topology, TrafficMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,14 +49,16 @@ const PROPOSAL_BATCH: usize = 8;
 /// is accepted. Acceptance tests are expensive — every one is an MCF
 /// solve — so keep `iters` modest (tens) and topologies small/medium.
 ///
-/// With `DCN_DELTA=on`, successive proposals reuse per-pair path
-/// enumerations through a [`PairMemo`]: the fabric is fixed, so a
-/// commodity's K shortest paths depend only on its endpoints, and each
-/// proposal only introduces the two swapped pairs. Missing pairs are
-/// enumerated serially *before* each batch fans out, so the memo is read-
-/// only under the pool and results stay byte-identical at any
-/// `DCN_EXEC_THREADS` — and byte-identical to `DCN_DELTA=off`, because a
-/// memo-assembled path set is bit-identical to a from-scratch build.
+/// Successive proposals reuse per-pair path enumerations through a
+/// [`PairMemo`]: the fabric is fixed, so a commodity's K shortest paths
+/// depend only on its endpoints, and each proposal only introduces the
+/// two swapped pairs. Missing pairs are enumerated serially *before* each
+/// batch fans out, so the memo is read-only under the pool and results
+/// stay byte-identical at any `DCN_EXEC_THREADS`. A memo-assembled path
+/// set is bit-identical to a from-scratch build, so every θ equals
+/// [`ksp_mcf_throughput`]'s and is cached under the same entry.
+///
+/// [`ksp_mcf_throughput`]: dcn_mcf::ksp_mcf_throughput
 pub fn adversarial_search(
     topo: &Topology,
     iters: u32,
@@ -67,27 +69,13 @@ pub fn adversarial_search(
 ) -> Result<AdversarialResult, CoreError> {
     let bound = tub(topo, MatchingBackend::Auto { exact_below: 500 }, ctx)?;
     let mut pairs: Vec<(NodeId, NodeId)> = bound.pairs.clone();
-    let mut memo = if crate::delta::enabled() {
-        Some(PairMemo::new(topo, k_paths))
-    } else {
-        None
-    };
-    let eval = |pairs: &[(NodeId, NodeId)]| -> Result<f64, CoreError> {
+    let mut memo = PairMemo::new(topo, k_paths);
+    let eval = |memo: &PairMemo, pairs: &[(NodeId, NodeId)]| -> Result<f64, CoreError> {
         let tm = TrafficMatrix::permutation(topo, pairs)?;
-        Ok(ksp_mcf_throughput(topo, &tm, k_paths, Engine::Fptas { eps }, ctx)?.theta_lb)
+        Ok(memo.throughput(&tm, Engine::Fptas { eps }, ctx)?.theta_lb)
     };
-    let eval_warm = |memo: &PairMemo, pairs: &[(NodeId, NodeId)]| -> Result<f64, CoreError> {
-        let tm = TrafficMatrix::permutation(topo, pairs)?;
-        let ps = memo.pathset(&tm)?;
-        Ok(throughput_on_paths(&ps, Engine::Fptas { eps }, ctx.budget)?.theta_lb)
-    };
-    let mut theta = match memo.as_mut() {
-        Some(m) => {
-            m.ensure_pairs(&pairs, ctx.budget)?;
-            eval_warm(m, &pairs)?
-        }
-        None => eval(&pairs)?,
-    };
+    memo.ensure_pairs(&pairs, ctx.budget)?;
+    let mut theta = eval(&memo, &pairs)?;
     let theta_start = theta;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut improvements = 0u32;
@@ -121,18 +109,12 @@ pub fn adversarial_search(
         }
         // Fill the memo serially with every pair the batch can need, so
         // the fan-out below only reads it.
-        if let Some(m) = memo.as_mut() {
-            let batch_pairs: Vec<(NodeId, NodeId)> =
-                candidates.iter().flat_map(|c| c.iter().copied()).collect();
-            m.ensure_pairs(&batch_pairs, ctx.budget)?;
-        }
-        let memo_ref = memo.as_ref();
+        let batch_pairs: Vec<(NodeId, NodeId)> =
+            candidates.iter().flat_map(|c| c.iter().copied()).collect();
+        memo.ensure_pairs(&batch_pairs, ctx.budget)?;
         let thetas = pool.par_map(ctx.budget, &candidates, |_, cand| {
             let _cand = dcn_obs::span!(dcn_obs::names::CORE_NEARWORST_CANDIDATE);
-            match memo_ref {
-                Some(m) => eval_warm(m, cand),
-                None => eval(cand),
-            }
+            eval(&memo, cand)
         })?;
         let best = thetas
             .iter()

@@ -6,6 +6,7 @@
 //! *actual* value is the tub of the degraded topology; the gap between the
 //! two is the paper's resilience deviation.
 
+use crate::delta::TubDeltaParent;
 use crate::tub::{tub, MatchingBackend};
 use crate::CoreError;
 use dcn_cache::SolveCtx;
@@ -50,15 +51,12 @@ impl FailurePoint {
 /// share the one [`CacheHandle`]; repeated failure patterns (and sweep
 /// reruns) hit the cache without changing any output.
 ///
-/// With `DCN_DELTA=on` and an exact matching backend, each sample reuses
-/// the unfailed parent's distance matrix and Hungarian dual state (see
-/// `core::delta`): only sources whose shortest paths crossed a fully
-/// vanished trunk re-run BFS, and only their matching rows re-augment.
-/// The delta bound is bit-identical to the cold exact bound, the parent
-/// is solved once *before* the fan-out (so every thread deltas off the
-/// same artifacts at any `DCN_EXEC_THREADS`), and any delta failure falls
-/// back to the cold path per sample. `DCN_DELTA=off` takes exactly the
-/// code path that existed before deltas.
+/// With an exact matching backend, each sample re-matches from the
+/// unfailed parent's Hungarian dual state (see `core::delta`), fetched
+/// from the cache once *before* the fan-out, so every thread deltas off
+/// the same duals at any `DCN_EXEC_THREADS`. The delta bound is
+/// bit-identical to the cold exact bound, and any delta failure falls
+/// back to the cold path per sample.
 pub fn failure_sweep(
     topo: &Topology,
     fractions: &[f64],
@@ -68,13 +66,7 @@ pub fn failure_sweep(
     ctx: &SolveCtx<'_>,
 ) -> Result<Vec<FailurePoint>, CoreError> {
     let theta0 = tub(topo, backend, ctx)?.bound.min(1.0);
-    // Deterministic parent artifacts for DCN_DELTA=on, prepared once
-    // before the fan-out so every worker deltas off the same solve.
-    let delta_parent = if crate::delta::enabled() {
-        crate::delta::TubDeltaParent::prepare(topo, backend, ctx)
-    } else {
-        None
-    };
+    let delta_parent = TubDeltaParent::prepare(topo, backend, ctx);
     let skipped_ctr = dcn_obs::counter!(dcn_obs::names::CORE_RESILIENCE_DISCONNECTED_SAMPLES);
     let trials = trials.max(1);
     // One task per (fraction, trial) sample; merged back per fraction.
@@ -86,6 +78,11 @@ pub fn failure_sweep(
         let _sample = dcn_obs::span!(dcn_obs::names::CORE_RESILIENCE_SAMPLE);
         let mut rng = StdRng::seed_from_u64(task_seed(seed, i as u64));
         match fail_random_links(topo, f, &mut rng) {
+            // No link failed, so the sample is the parent itself. Reusing
+            // θ0 keeps identical samples from racing on one cache entry,
+            // which would make the cache and solver counters depend on the
+            // thread count.
+            Ok(degraded) if degraded.graph().m() == topo.graph().m() => Ok(Some(theta0)),
             Ok(degraded) => {
                 let t = match &delta_parent {
                     Some(p) => p.tub_or_cold(&degraded, backend, ctx)?,

@@ -1,19 +1,74 @@
 //! The exec determinism contract, end to end: a full resilience curve, a
 //! near-worst traffic search, and a Fig. 8 frontier sweep must be
-//! *byte-identical* under `DCN_EXEC_THREADS=1` and `DCN_EXEC_THREADS=4`.
+//! *byte-identical* under `DCN_EXEC_THREADS=1` and `DCN_EXEC_THREADS=4`,
+//! and the incremental curve and search must equal cold oracles.
 //!
 //! Everything lives in one `#[test]` because the thread count is a
 //! process-global environment variable: separate tests would race on it.
 
+use dcn_cache::prelude::*;
 use dcn_core::frontier::{frontier_sweep, Criterion, Family, FrontierConfig};
 use dcn_core::nearworst::adversarial_search;
-use dcn_core::resilience::failure_sweep;
-use dcn_core::MatchingBackend;
+use dcn_core::resilience::{failure_sweep, FailurePoint};
+use dcn_core::{tub, MatchingBackend};
 use dcn_exec::{task_seed, Pool};
 use dcn_guard::prelude::*;
+use dcn_mcf::{ksp_mcf_throughput, Engine};
+use dcn_model::{Topology, TrafficMatrix};
+use dcn_topo::fail_random_links;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use dcn_cache::prelude::*;
+
+/// `failure_sweep` rebuilt from cold parts: each sample fails links from
+/// its own `task_seed` stream and solves an uncached cold `tub`, and the
+/// samples aggregate per fraction as the sweep does.
+fn cold_sweep_oracle(
+    topo: &Topology,
+    fractions: &[f64],
+    trials: u32,
+    backend: MatchingBackend,
+    seed: u64,
+) -> Vec<FailurePoint> {
+    let budget = unlimited();
+    let ctx = nocache_ctx(&budget);
+    let theta0 = tub(topo, backend, &ctx).unwrap().bound.min(1.0);
+    let trials = trials as usize;
+    let samples: Vec<Option<f64>> = (0..fractions.len() * trials)
+        .map(|i| {
+            let mut rng = StdRng::seed_from_u64(task_seed(seed, i as u64));
+            let child = fail_random_links(topo, fractions[i / trials], &mut rng).ok()?;
+            Some(tub(&child, backend, &ctx).unwrap().bound.min(1.0))
+        })
+        .collect();
+    fractions
+        .iter()
+        .zip(samples.chunks(trials))
+        .map(|(&f, per_fraction)| {
+            let ok = per_fraction.iter().flatten().count() as u32;
+            let sum: f64 = per_fraction.iter().flatten().sum();
+            FailurePoint {
+                fraction: f,
+                nominal: (1.0 - f) * theta0,
+                actual: (ok > 0).then(|| sum / ok as f64),
+                trials: ok,
+            }
+        })
+        .collect()
+}
+
+fn curve_bits(points: &[FailurePoint]) -> Vec<(u64, u64, Option<u64>, u32)> {
+    points
+        .iter()
+        .map(|p| {
+            (
+                p.fraction.to_bits(),
+                p.nominal.to_bits(),
+                p.actual.map(f64::to_bits),
+                p.trials,
+            )
+        })
+        .collect()
+}
 
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     std::env::set_var("DCN_EXEC_THREADS", n.to_string());
@@ -76,6 +131,26 @@ fn thread_count_never_changes_results() {
         }
     }
 
+    // The work a sweep does must not depend on the pool width either:
+    // against a fresh cache at 1 and at 4 threads, the cache and solver
+    // counters move by the same amounts. (No other test in this binary
+    // touches them.)
+    let work = |threads: usize| {
+        use dcn_obs::names::*;
+        let names = [
+            CACHE_HIT,
+            CACHE_MISS,
+            DELTA_MATCHING_PATCHED,
+            GRAPH_DIST_BFS_RUNS,
+            MATCH_HUNGARIAN_STEPS,
+        ];
+        let before: Vec<u64> = names.iter().map(|n| dcn_obs::counter_value(n)).collect();
+        sweep(threads, &dcn_cache::CacheHandle::in_memory(1 << 24));
+        let after = names.iter().map(|n| dcn_obs::counter_value(n));
+        after.zip(before).map(|(a, b)| a - b).collect::<Vec<u64>>()
+    };
+    assert_eq!(work(1), work(4), "sweep counters depend on the thread count");
+
     // 3. Near-worst search: the accepted swap sequence (and thus the final
     // θ and improvement count) must not depend on the pool width.
     let search = |threads: usize| {
@@ -88,40 +163,25 @@ fn thread_count_never_changes_results() {
     assert_eq!(n1.theta_start.to_bits(), n4.theta_start.to_bits());
     assert_eq!(n1.improvements, n4.improvements);
 
-    // 4. DCN_DELTA=on legs, threads 1 and 4: the incremental paths must
-    // reproduce the cold runs above byte-for-byte — the delta parent is
-    // prepared before the fan-out and the exact delta bound (and memoized
-    // path sets) are bit-identical to from-scratch, so `on` is held to the
-    // *same* reference output as `off`, not merely to itself.
-    let with_delta = |f: &mut dyn FnMut()| {
-        std::env::set_var("DCN_DELTA", "on");
-        f();
-        std::env::remove_var("DCN_DELTA");
+    // 4. Cold oracles: every sweep above re-matches its samples off the
+    // parent's duals, and each must equal, bit for bit, a per-sample cold
+    // `tub` with no cache; the search's θs must equal cold KSP-MCF solves.
+    let oracle = cold_sweep_oracle(&topo, &[0.0, 0.05, 0.1, 0.2], 3, MatchingBackend::Exact, 11);
+    for run in &runs {
+        assert_eq!(curve_bits(run), curve_bits(&oracle));
+    }
+    let budget = unlimited();
+    let cold = nocache_ctx(&budget);
+    let engine = Engine::Fptas { eps: 0.1 };
+    let cold_theta = |tm: &TrafficMatrix| {
+        let r = ksp_mcf_throughput(&topo, tm, 6, engine, &cold).unwrap();
+        r.theta_lb.to_bits()
     };
-    for threads in [1usize, 4] {
-        with_delta(&mut || {
-            let ds = sweep(threads, &nocache());
-            let reference = &runs[0];
-            assert_eq!(ds.len(), reference.len());
-            for (a, b) in ds.iter().zip(reference.iter()) {
-                assert_eq!(
-                    a.actual.map(f64::to_bits),
-                    b.actual.map(f64::to_bits),
-                    "DCN_DELTA=on sweep diverged at {} threads",
-                    threads
-                );
-                assert_eq!(a.trials, b.trials);
-            }
-            let dn = search(threads);
-            assert_eq!(
-                dn.theta.to_bits(),
-                n1.theta.to_bits(),
-                "DCN_DELTA=on search diverged at {} threads",
-                threads
-            );
-            assert_eq!(dn.theta_start.to_bits(), n1.theta_start.to_bits());
-            assert_eq!(dn.improvements, n1.improvements);
-        });
+    let maximal = tub(&topo, MatchingBackend::Auto { exact_below: 500 }, &cold).unwrap();
+    let maximal = maximal.traffic_matrix(&topo).unwrap();
+    for n in [&n1, &n4] {
+        assert_eq!(n.theta_start.to_bits(), cold_theta(&maximal));
+        assert_eq!(n.theta.to_bits(), cold_theta(&n.tm));
     }
 
     // 5. Frontier sweep: four cheap Fig. 8 cells (two families, both

@@ -110,52 +110,6 @@ impl DistMatrix {
         self.row_of[u as usize] != u32::MAX
     }
 
-    /// Selective rebuild for incremental solving: re-runs BFS for the
-    /// `dirty` source rows against `g` (the perturbed graph), copying
-    /// every clean row verbatim. The caller certifies that clean sources'
-    /// distances are unchanged in `g` — for edge failures that holds
-    /// exactly when no failed edge was *tight* for the source (on some
-    /// shortest path), which [`Graph::bfs_distances_into`] distances make
-    /// cheap to check. `g` must have the same node count as the parent
-    /// graph. Fails with [`GraphError::Disconnected`] if a dirty source
-    /// can no longer reach every node.
-    ///
-    /// ```
-    /// use dcn_graph::{DistMatrix, Graph};
-    /// let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-    /// let d = DistMatrix::all_pairs(&g).unwrap();
-    /// // Same graph, "rebuild" rows 0 and 2: identical distances.
-    /// let d2 = d.rebuild_rows(&g, &[0, 2]).unwrap();
-    /// assert_eq!(d2.dist(0, 2), d.dist(0, 2));
-    /// ```
-    pub fn rebuild_rows(&self, g: &Graph, dirty: &[NodeId]) -> Result<Self, GraphError> {
-        if g.n() != self.n {
-            return Err(GraphError::NodeOutOfRange {
-                node: g.n() as NodeId,
-                n: self.n,
-            });
-        }
-        let mut out = self.clone();
-        let mut queue = Vec::with_capacity(self.n);
-        let bfs_ctr = dcn_obs::counter!(dcn_obs::names::GRAPH_DIST_BFS_RUNS);
-        for &s in dirty {
-            let row_idx = self.row_of[s as usize];
-            if row_idx == u32::MAX {
-                return Err(GraphError::NodeOutOfRange {
-                    node: s,
-                    n: self.n,
-                });
-            }
-            let row = &mut out.data[row_idx as usize * self.n..(row_idx as usize + 1) * self.n];
-            g.bfs_distances_into(s, row, &mut queue);
-            bfs_ctr.inc();
-            if row.contains(&u16::MAX) {
-                return Err(GraphError::Disconnected);
-            }
-        }
-        Ok(out)
-    }
-
     /// Maximum distance present among source-to-source pairs.
     pub fn max_source_to_source(&self) -> u16 {
         let mut best = 0;
@@ -205,42 +159,6 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1)]).unwrap();
         assert_eq!(
             DistMatrix::all_pairs(&g).unwrap_err(),
-            GraphError::Disconnected
-        );
-    }
-
-    #[test]
-    fn rebuild_rows_matches_full_recompute() {
-        // 6-cycle with a chord; drop the chord (edge index 6) and rebuild
-        // only the rows whose distances it carried.
-        let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)];
-        let g = Graph::from_edges(6, &edges).unwrap();
-        let parent = DistMatrix::all_pairs(&g).unwrap();
-        let degraded = g.without_edges(&[6]);
-        // The chord is tight for every node, so rebuild all rows; the
-        // result must equal a from-scratch matrix.
-        let dirty: Vec<NodeId> = (0..6).collect();
-        let warm = parent.rebuild_rows(&degraded, &dirty).unwrap();
-        let cold = DistMatrix::all_pairs(&degraded).unwrap();
-        for u in 0..6u32 {
-            assert_eq!(warm.row(u), cold.row(u), "row {u}");
-        }
-        // Partial rebuild keeps clean rows verbatim.
-        let partial = parent.rebuild_rows(&degraded, &[0]).unwrap();
-        assert_eq!(partial.row(0), cold.row(0));
-        assert_eq!(partial.row(2), parent.row(2));
-    }
-
-    #[test]
-    fn rebuild_rows_rejects_bad_input() {
-        let g = Graph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]).unwrap();
-        let d = DistMatrix::from_sources(&g, &[0, 1]).unwrap();
-        // Node 2 has no row.
-        assert!(d.rebuild_rows(&g, &[2]).is_err());
-        // Disconnecting removal surfaces as Disconnected.
-        let degraded = g.without_edges(&[0, 2]);
-        assert_eq!(
-            d.rebuild_rows(&degraded, &[0]).unwrap_err(),
             GraphError::Disconnected
         );
     }

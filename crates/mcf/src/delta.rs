@@ -31,7 +31,9 @@
 
 use crate::exact::{self, ExactLayout};
 use crate::pathset::{Commodity, PathRepr, PathSet};
+use crate::{fabric_theta_key, theta_key, throughput_on_paths, Engine};
 use crate::{McfError, SharedPathSet, ThroughputResult};
+use dcn_cache::{KeyBuilder, SolveCtx};
 use dcn_graph::NodeId;
 use dcn_guard::Budget;
 use dcn_lp::{Basis, BasisVar};
@@ -279,6 +281,8 @@ pub struct PairMemo {
     graph: dcn_graph::Graph,
     k: usize,
     memo: HashMap<(NodeId, NodeId), PairPaths>,
+    /// The fabric's part of every `mcf_theta` key the memo serves.
+    theta_key: KeyBuilder,
 }
 
 #[derive(Debug, Clone)]
@@ -295,6 +299,7 @@ impl PairMemo {
             graph: topo.graph().coalesced(),
             k,
             memo: HashMap::new(),
+            theta_key: fabric_theta_key(topo),
         }
     }
 
@@ -384,6 +389,23 @@ impl PairMemo {
             });
         }
         Ok(PathSet::from_parts(self.graph.clone(), commodities))
+    }
+
+    /// [`ksp_mcf_throughput`](crate::ksp_mcf_throughput) of `tm` on the
+    /// memo's fabric, through the same `mcf_theta` cache entry: a miss
+    /// solves on the memo-assembled path set, which is bit-identical to
+    /// the one `ksp_mcf_throughput` enumerates, so each call serves the
+    /// other. Every pair of `tm` must already be memoized.
+    pub fn throughput(
+        &self,
+        tm: &TrafficMatrix,
+        engine: Engine,
+        ctx: &SolveCtx<'_>,
+    ) -> Result<ThroughputResult, McfError> {
+        ctx.cache.get_or_compute(
+            || theta_key(self.theta_key.clone(), tm, self.k, engine),
+            || throughput_on_paths(&self.pathset(tm)?, engine, ctx.budget),
+        )
     }
 }
 
@@ -496,6 +518,27 @@ mod tests {
         assert!(matches!(
             memo.pathset(&other),
             Err(McfError::NoPath { src: 2, dst: 4 })
+        ));
+    }
+
+    #[test]
+    fn pair_memo_throughput_shares_the_ksp_mcf_cache_entry() {
+        let topo = ring_with_chord();
+        let tm = TrafficMatrix::permutation(&topo, &[(0, 3), (3, 0), (1, 4), (4, 1)]).unwrap();
+        let engine = Engine::Fptas { eps: 0.05 };
+        let budget = Budget::unlimited();
+        let cache = dcn_cache::CacheHandle::in_memory(1 << 20);
+        let cached = SolveCtx::new(&cache, &budget);
+        let cold = crate::ksp_mcf_throughput(&topo, &tm, 6, engine, &cached).unwrap();
+        // Nothing is memoized, so only the entry `ksp_mcf_throughput`
+        // wrote can answer.
+        let memo = PairMemo::new(&topo, 6);
+        let hit = memo.throughput(&tm, engine, &cached).unwrap();
+        assert_eq!(hit.theta_lb.to_bits(), cold.theta_lb.to_bits());
+        let nocache = dcn_cache::CacheHandle::disabled();
+        assert!(matches!(
+            memo.throughput(&tm, engine, &SolveCtx::new(&nocache, &budget)),
+            Err(McfError::NoPath { .. })
         ));
     }
 }

@@ -81,13 +81,6 @@ pub const EXEC_THREADS: EnvVar = EnvVar {
     doc: "Worker count for every `dcn-exec` parallel fan-out; results are byte-identical at any value, including 1.",
 };
 
-/// Incremental delta-solver toggle.
-pub const DELTA: EnvVar = EnvVar {
-    name: "DCN_DELTA",
-    default: "off",
-    doc: "Incremental delta-solving in resilience and near-worst sweeps: `1`/`on`/`true` reuses per-sample path sets, matchings, and LP bases from the unfailed parent solve; `off` keeps the byte-identical from-scratch path.",
-};
-
 // --- dcn-cache -------------------------------------------------------------
 
 /// In-memory cache byte budget.
@@ -179,7 +172,6 @@ pub const ALL: &[&EnvVar] = &[
     &OBS,
     &VALIDATE,
     &EXEC_THREADS,
-    &DELTA,
     &CACHE_BYTES,
     &CACHE_DIR,
     &TRACE_FILE,

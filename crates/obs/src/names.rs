@@ -184,14 +184,16 @@ pub const TRACE_EVENTS_DROPPED: &str = "trace.events.dropped";
 /// Warm solves that successfully reused a parent basis (counter).
 pub const DELTA_BASIS_REUSED: &str = "delta.basis.reused";
 /// Warm attempts that fell back to a cold solve — singular basis,
-/// unrepairable infeasibility, or a failed certificate (counter).
+/// unrepairable infeasibility, a failed certificate, or a failure sample
+/// whose parent matching could not be solved (counter).
 pub const DELTA_FALLBACK: &str = "delta.fallback";
 /// Dual-simplex repair pivots spent fixing imported bases (counter).
 pub const DELTA_REPAIR_PIVOTS: &str = "delta.repair.pivots";
 /// Hungarian matchings patched incrementally instead of recomputed
 /// (counter).
 pub const DELTA_MATCHING_PATCHED: &str = "delta.matching.patched";
-/// BFS distance rows rebuilt selectively after a failure (counter).
+/// BFS distance rows a delta-TUB solve computes for its failure sample
+/// (counter).
 pub const DELTA_DIST_ROWS_REBUILT: &str = "delta.dist.rows_rebuilt";
 /// Per-commodity path enumerations reused from the parent path set
 /// (counter).
