@@ -1,21 +1,17 @@
 //! Incremental-solver benchmark: delta re-solving vs from-scratch for the
-//! fig10 resilience sweep and a per-sample exact KSP-MCF failure study.
+//! fig10 resilience sweep.
 //!
 //! Sweeps radix 16 and 32 Jellyfish fabrics at two sizes (the fig10
-//! operating points). Two phases per topology:
+//! operating points). Cold solves every sample with an uncached cold
+//! `tub`; cached replays the sweep against a warm in-memory cache; delta
+//! is `failure_sweep` without a cache, which re-matches every sample off
+//! the unfailed parent's Hungarian duals.
 //!
-//! * `resilience` — the Figure 10 failure sweep. Cold solves every sample
-//!   with an uncached cold `tub`; cached replays the sweep against a warm
-//!   in-memory cache; delta is `failure_sweep` without a cache, which
-//!   re-matches every sample off the unfailed parent's Hungarian duals;
-//! * `exact_mcf` — single-link failures solved exactly, cold
-//!   (re-enumerate + fresh simplex) vs [`DeltaCtx`] (prune + warm-started
-//!   simplex from the parent basis).
-//!
-//! Every delta leg's outputs are checked against the cold leg before the
-//! timing is reported, and the `delta.*` counters are dumped at the end —
-//! `delta.basis.reused` / `delta.fallback` tell you whether the speedup
-//! came from the advertised reuse or from silent fallbacks to cold.
+//! The delta and cached curves must equal the cold one bit for bit before
+//! any timing is reported; a mismatch fails the run. The `delta.*`
+//! counters are dumped at the end — `delta.fallback` tells you whether
+//! the speedup came from the advertised reuse or from silent fallbacks to
+//! cold.
 
 use dcn_bench::{f3, quick_mode, run_guarded, timed, Table};
 use dcn_cache::{CacheHandle, SolveCtx};
@@ -24,13 +20,11 @@ use dcn_core::resilience::{failure_sweep, FailurePoint};
 use dcn_core::{tub, MatchingBackend};
 use dcn_exec::{task_seed, Pool};
 use dcn_guard::prelude::*;
-use dcn_mcf::{exact, DeltaCtx, PathSet, SharedPathSet};
-use dcn_model::{Topology, TrafficMatrix};
+use dcn_model::Topology;
 use dcn_topo::fail_random_links;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 fn main() -> ExitCode {
     run_guarded("delta_resilience", run)
@@ -99,7 +93,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     for &n_sw in sizes {
         let topo = Family::Jellyfish.build(n_sw, radix, h, 31)?;
 
-        // Phase 1: the fig10 resilience sweep.
         let budget = Budget::unlimited();
         let sweep = |cache: &CacheHandle| {
             failure_sweep(&topo, fractions, trials, backend, 37, &SolveCtx::new(cache, &budget))
@@ -120,7 +113,15 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                         && x.trials == y.trials
                 })
         };
-        let ok = same(&cold, &delta) && same(&cold, &cached);
+        for (leg, curve) in [("delta", &delta), ("cached", &cached)] {
+            if !same(&cold, curve) {
+                return Err(format!(
+                    "radix {radix}, {} switches: the {leg} curve differs from the cold one",
+                    topo.n_switches()
+                )
+                .into());
+            }
+        }
         t.row(&[
             &radix,
             &topo.n_switches(),
@@ -129,39 +130,14 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             &f3(cached_s),
             &f3(delta_s),
             &f3(cold_s / delta_s.max(1e-9)),
-            &ok,
+            &true,
         ]);
-
-        // Phase 2: exact MCF under single-link failures — re-enumerate +
-        // fresh simplex per failure vs prune + warm-started simplex off
-        // the unfailed parent. The delta θ is a certified lower bound on
-        // the re-enumerated θ (pruning only removes paths), so the check
-        // here is `<=` plus exact equality of the common-path solve.
-        // The exact phase is O(minutes) at the larger size (a fresh
-        // simplex per failed link); the small size demonstrates the same
-        // warm-vs-cold contrast at tractable cost.
-        if n_sw == sizes[0] {
-            let (ec, ed, eok) = exact_mcf_phase(&topo, &budget)?;
-            t.row(&[
-                &radix,
-                &topo.n_switches(),
-                &"exact_mcf",
-                &f3(ec),
-                &"-",
-                &f3(ed),
-                &f3(ec / ed.max(1e-9)),
-                &eok,
-            ]);
-        }
     }
     }
     t.finish();
 
     let mut c = Table::new("delta_counters", &["counter", "value"]);
     for name in [
-        dcn_obs::names::DELTA_BASIS_REUSED,
-        dcn_obs::names::DELTA_REPAIR_PIVOTS,
-        dcn_obs::names::DELTA_PATHS_REUSED,
         dcn_obs::names::DELTA_MATCHING_PATCHED,
         dcn_obs::names::DELTA_DIST_ROWS_REBUILT,
         dcn_obs::names::DELTA_FALLBACK,
@@ -170,75 +146,4 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     }
     c.finish();
     Ok(())
-}
-
-/// Cold vs delta exact solves over every single-link failure that leaves
-/// the topology connected (capped to keep the quick mode quick). Returns
-/// `(cold_seconds, delta_seconds, outputs_matched)`.
-fn exact_mcf_phase(
-    topo: &Topology,
-    budget: &Budget,
-) -> Result<(f64, f64, bool), Box<dyn std::error::Error>> {
-    let k = 4usize;
-    let n_failures = if quick_mode() { 8 } else { 24 };
-    let nocache = CacheHandle::disabled();
-    let ctx = SolveCtx::new(&nocache, budget);
-    let bound = dcn_core::tub(topo, MatchingBackend::Auto { exact_below: 500 }, &ctx)?;
-    let tm = TrafficMatrix::permutation(topo, &bound.pairs)?;
-    let parent = Arc::new(PathSet::k_shortest(topo, &tm, k, budget)?);
-
-    let mut children = Vec::new();
-    for e in 0..topo.graph().m() as u32 {
-        if children.len() >= n_failures {
-            break;
-        }
-        let g = topo.graph().without_edges(&[e]);
-        if !g.is_connected() {
-            continue;
-        }
-        if let Ok(child) = topo.with_graph(g) {
-            children.push(child.renamed(format!("{}-e{e}", topo.name())));
-        }
-    }
-
-    let (cold_thetas, cold_s) = timed(|| -> Result<Vec<f64>, Box<dyn std::error::Error>> {
-        let mut out = Vec::new();
-        for child in &children {
-            let ps = PathSet::k_shortest(child, &tm, k, budget)?;
-            out.push(exact::solve(&ps, budget)?.theta_lb);
-        }
-        Ok(out)
-    });
-    let cold_thetas = cold_thetas?;
-
-    let (delta_thetas, delta_s) = timed(|| -> Result<Vec<f64>, Box<dyn std::error::Error>> {
-        let dctx = DeltaCtx::prepare(SharedPathSet(Arc::clone(&parent)), budget)?;
-        let mut out = Vec::new();
-        for child in &children {
-            let theta = match dctx.solve_failure(child, budget) {
-                Ok(r) => r.theta_lb,
-                // A commodity lost every enumerated path: the documented
-                // fallback signal. Re-enumerate cold, as production
-                // callers do — its cost is part of the delta leg's time.
-                Err(dcn_mcf::McfError::NoPath { .. }) => {
-                    let ps = PathSet::k_shortest(child, &tm, k, budget)?;
-                    exact::solve(&ps, budget)?.theta_lb
-                }
-                Err(e) => return Err(e.into()),
-            };
-            out.push(theta);
-        }
-        Ok(out)
-    });
-    let delta_thetas = delta_thetas?;
-
-    // Sanity: pruning only removes paths, so delta θ lower-bounds the
-    // re-enumerated θ; and both must agree with the FPTAS sandwich on the
-    // parent (checked implicitly by the exact solver's own certificate).
-    let ok = cold_thetas.len() == delta_thetas.len()
-        && cold_thetas
-            .iter()
-            .zip(delta_thetas.iter())
-            .all(|(c, d)| *d <= *c + 1e-9);
-    Ok((cold_s, delta_s, ok))
 }

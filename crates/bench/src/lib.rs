@@ -19,14 +19,8 @@
 //! With `DCN_TRACE_FILE=<path>` (or `DCN_OBS=trace`) the harness also
 //! installs the `dcn-trace` per-event recorder at startup and flushes a
 //! Chrome `trace_event` JSON file at manifest time — see DESIGN.md §12.
-//! Passing `--baseline` to any experiment binary folds the run's summary
-//! (wall seconds, cache hit rate, per-span totals) into the committed
-//! `BENCH_BASELINE.json`, which `--bin perf_gate` and
-//! `scripts/perf_gate.py` later compare fresh manifests against.
 
 #![warn(missing_docs)]
-
-pub mod perf;
 
 use std::fmt::Display;
 use std::fs;
@@ -192,9 +186,6 @@ pub fn write_manifest(name: &str) {
         Err(e) => eprintln!("{e}"),
     }
     flush_trace(name);
-    if baseline_mode() {
-        update_baseline(name, &manifest);
-    }
     if dcn_obs::enabled() {
         eprint!("{}", dcn_obs::summary());
     }
@@ -221,41 +212,6 @@ fn flush_trace(name: &str) {
     match dcn_trace::flush_to_file(&path) {
         Ok(n) => dcn_obs::obs_log!("wrote {} ({n} events)", path.display()),
         Err(e) => eprintln!("trace flush failed for {name}: {e}"),
-    }
-}
-
-/// True when `--baseline` was passed: the run's perf summary is folded
-/// into [`baseline_path`] at manifest time.
-pub fn baseline_mode() -> bool {
-    std::env::args().any(|a| a == "--baseline")
-}
-
-/// The perf baseline file: `DCN_BENCH_BASELINE` when set, else
-/// `BENCH_BASELINE.json` at the workspace root.
-pub fn baseline_path() -> PathBuf {
-    match dcn_guard::env::BENCH_BASELINE.get_os() {
-        Some(p) => PathBuf::from(p),
-        None => PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .parent()
-            .and_then(|p| p.parent())
-            .expect("workspace root")
-            .join("BENCH_BASELINE.json"),
-    }
-}
-
-fn update_baseline(name: &str, manifest: &dcn_obs::manifest::RunManifest) {
-    let path = baseline_path();
-    let mut baseline = match perf::Baseline::load(&path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("baseline load failed ({e}); not updating {}", path.display());
-            return;
-        }
-    };
-    baseline.upsert(name, perf::entry_from_manifest(manifest));
-    match baseline.save(&path) {
-        Ok(()) => eprintln!("updated baseline entry '{name}' in {}", path.display()),
-        Err(e) => eprintln!("baseline write failed for {name}: {e}"),
     }
 }
 

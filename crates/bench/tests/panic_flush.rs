@@ -1,15 +1,18 @@
-//! A panicking experiment body must still flush its partial manifest and
-//! buffered trace events — the post-mortem a human (or a sweep script)
-//! reads after a run dies mid-cell.
+//! An experiment must flush its buffered trace events whether it ends
+//! normally or dies mid-cell. A panicking body must also flush its partial
+//! manifest: the post-mortem a human (or a sweep script) reads after a run
+//! dies.
 //!
-//! The panic happens in a child process (this test binary re-invoked
-//! with an env gate), because a panic hook is process-global state and
-//! the child's job is to die.
+//! Each run happens in a child process (this test binary re-invoked with
+//! an env gate), because the tracer and the panic hook are process-global
+//! state, and the panicking child's job is to die.
 
-use std::path::PathBuf;
+use dcn_obs::json::Json;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 const WORKER_ENV: &str = "DCN_BENCH_TEST_PANIC_DIR";
+const TABLE_ENV: &str = "DCN_BENCH_TEST_TABLE_DIR";
 
 /// Child-process entrypoint (gated on [`WORKER_ENV`]); a no-op in the
 /// normal suite. Panics mid-"sweep" under `run_guarded`.
@@ -70,4 +73,89 @@ fn panic_flushes_manifest_and_trace() {
     assert!(stderr.contains("panic: partial manifest flushed"), "{stderr}");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Child-process entrypoint (gated on [`TABLE_ENV`]); a no-op in the
+/// normal suite. Finishes a one-row table, with one span inside the run.
+#[test]
+fn finished_table_entry() {
+    if std::env::var(TABLE_ENV).is_err() {
+        return;
+    }
+    let mut t = dcn_bench::Table::new("trace_probe", &["cell", "value"]);
+    let (value, _) = dcn_bench::timed(|| 6 * 7);
+    t.row(&[&"answer", &value]);
+    t.finish();
+}
+
+/// Runs [`finished_table_entry`] in a child with its results in `dir`,
+/// traced to `trace` when given. Returns the table block of its stdout
+/// (the test harness's own lines carry timings) and its CSV.
+fn finish_table_in_child(dir: &Path, trace: Option<&Path>) -> (String, String) {
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).expect("create results dir");
+    let mut cmd = Command::new(std::env::current_exe().expect("current_exe"));
+    cmd.args(["finished_table_entry", "--exact", "--nocapture"])
+        .env(TABLE_ENV, "1")
+        .env("DCN_RESULTS_DIR", dir)
+        .env("DCN_OBS", "off")
+        .env_remove("DCN_TRACE_FILE");
+    if let Some(trace) = trace {
+        cmd.env("DCN_TRACE_FILE", trace);
+    }
+    let out = cmd.output().expect("spawn table child");
+    assert!(out.status.success(), "table child failed: {out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let start = stdout.find("== trace_probe ==").expect("table printed");
+    let len = stdout[start..].find("\n\n").expect("table block ends") + 2;
+    let csv = std::fs::read_to_string(dir.join("trace_probe.csv")).expect("csv written");
+    (stdout[start..start + len].to_string(), csv)
+}
+
+#[test]
+fn normal_exit_exports_trace_without_changing_output() {
+    let root = std::env::temp_dir().join(format!("dcn-bench-trace-{}", std::process::id()));
+    let trace = root.join("trace_probe.trace.json");
+    let traced = finish_table_in_child(&root.join("traced"), Some(&trace));
+    let plain = finish_table_in_child(&root.join("plain"), None);
+    assert_eq!(traced, plain, "tracing changed stdout or the CSV");
+    assert_eq!(plain.1, "cell,value\nanswer,42\n");
+
+    let text = std::fs::read_to_string(&trace).expect("trace written on a normal exit");
+    let json = Json::parse(&text).expect("trace parses");
+    let Some(Json::Arr(events)) = json.get("traceEvents") else {
+        panic!("no traceEvents array: {text}");
+    };
+    // Every `E` closes the innermost open `B` of its thread, and nothing
+    // stays open.
+    let mut open: Vec<(u64, String)> = Vec::new();
+    let mut spans = Vec::new();
+    for e in events {
+        let field = |k: &str| {
+            e.get(k)
+                .and_then(Json::as_str)
+                .unwrap_or_default()
+                .to_string()
+        };
+        let tid = e.get("tid").and_then(Json::as_f64).expect("tid") as u64;
+        match field("ph").as_str() {
+            "B" => open.push((tid, field("name"))),
+            "E" => {
+                let at = open
+                    .iter()
+                    .rposition(|(t, _)| *t == tid)
+                    .expect("E without B");
+                let (_, name) = open.remove(at);
+                assert_eq!(name, field("name"), "E closes another span");
+                spans.push(name);
+            }
+            _ => {}
+        }
+    }
+    assert!(open.is_empty(), "unclosed spans: {open:?}");
+    assert!(
+        spans.iter().any(|s| s == dcn_obs::names::BENCH_TIMED),
+        "the table's span is missing: {spans:?}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -28,7 +28,7 @@
 
 mod simplex;
 
-pub use simplex::{solve_tableau, Basis, BasisVar};
+pub use simplex::solve_tableau;
 
 use dcn_guard::{Budget, BudgetError, CertError};
 
@@ -195,41 +195,6 @@ impl LinearProgram {
     pub fn solve(&self, budget: &Budget) -> Result<LpSolution, LpError> {
         self.screen_finite()?;
         simplex::solve(self, budget, dcn_guard::validation_enabled())
-    }
-
-    /// [`LinearProgram::solve`] with basis import/export for incremental
-    /// re-solves: optionally starts from a [`Basis`] exported by a
-    /// previous (typically perturbed-sibling) solve, and exports the
-    /// optimal basis alongside the solution (`None` unless the outcome is
-    /// [`LpStatus::Optimal`]).
-    ///
-    /// The warm attempt re-factorizes the imported basis against this
-    /// program's rows, repairs primal infeasibility with a bounded
-    /// dual-simplex pass, and falls back to the cold two-phase path on
-    /// singularity, unrepairable infeasibility, or a failed certificate —
-    /// so a warm solve never returns a worse answer than a cold one.
-    /// Budget exhaustion propagates as [`LpError::Budget`] either way.
-    ///
-    /// ```
-    /// use dcn_guard::prelude::*;
-    /// use dcn_lp::{Cmp, LinearProgram};
-    /// let mut lp = LinearProgram::new(2);
-    /// lp.set_objective(&[(0, 1.0), (1, 2.0)]);
-    /// lp.add_constraint(&[(0, 1.0), (1, 1.0)], Cmp::Le, 4.0);
-    /// let (sol, basis) = lp.solve_warm(None, &unlimited()).unwrap();
-    /// // Re-solve after a perturbation, warm-started from the basis.
-    /// let mut child = lp.clone();
-    /// child.add_constraint(&[(1, 1.0)], Cmp::Le, 3.0);
-    /// let (warm, _) = child.solve_warm(basis.as_ref(), &unlimited()).unwrap();
-    /// assert!(warm.objective <= sol.objective + 1e-9);
-    /// ```
-    pub fn solve_warm(
-        &self,
-        warm: Option<&Basis>,
-        budget: &Budget,
-    ) -> Result<(LpSolution, Option<Basis>), LpError> {
-        self.screen_finite()?;
-        simplex::solve_with_basis(self, warm, budget, dcn_guard::validation_enabled())
     }
 
     fn screen_finite(&self) -> Result<(), LpError> {

@@ -1,5 +1,4 @@
-//! Two-phase primal simplex with a sparse refactorization base and an
-//! exportable/importable [`Basis`] for warm-started re-solves.
+//! Two-phase primal simplex with a sparse refactorization base.
 //!
 //! The tableau has one row per constraint plus an objective row, and one
 //! column per variable (decision + slack/surplus + artificial) plus the
@@ -11,14 +10,6 @@
 //! over 95% zeros) and every refactorization streams them back into the
 //! dense working tableau, so the periodic drift-shedding rebuild costs
 //! O(nnz) instead of O(rows × cols) per row scatter.
-//!
-//! Warm starts ([`crate::LinearProgram::solve_warm`]) import a basis from
-//! a previously solved *parent* program: the basis is re-factorized from
-//! the child's pristine rows, primal infeasibility left behind by the
-//! perturbation is repaired by a bounded dual-simplex pass, and any
-//! trouble — singular basis, unrepairable infeasibility, a failed
-//! post-solve certificate — falls back to the cold two-phase path, so a
-//! warm solve is never less reliable than a cold one.
 //!
 //! Both phases meter a [`dcn_guard::Budget`]: one tick per pivot
 //! iteration, so a deadline or iteration cap turns a pathological solve
@@ -34,100 +25,6 @@ const EPS: f64 = 1e-9;
 /// (dividing the row by ~1e-8) amplifies that noise into O(1) primal error
 /// on degenerate problems. Entries below this are treated as zero.
 const PIVOT_TOL: f64 = 1e-7;
-/// Primal-feasibility tolerance for the warm-start dual repair pass: a
-/// basic value above `-FEAS_TOL` counts as feasible (the same tolerance
-/// phase 1 applies to its residual objective).
-const FEAS_TOL: f64 = 1e-7;
-
-/// One basic column of a simplex basis, named by its *role* in the source
-/// program rather than by raw column index — so a basis exported from one
-/// program can be re-mapped onto a perturbed sibling whose auxiliary
-/// columns land at different offsets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BasisVar {
-    /// Decision variable `j` of the [`LinearProgram`].
-    Decision(usize),
-    /// The slack (or surplus) column introduced for constraint row `r`.
-    Slack(usize),
-    /// The artificial column introduced for constraint row `r`. Warm
-    /// starts reject artificial entries (an artificial basic at a nonzero
-    /// value encodes an infeasible point) and fall back to cold start.
-    Artificial(usize),
-}
-
-/// An exportable simplex basis: the set of basic columns at optimality,
-/// one [`BasisVar`] per constraint row.
-///
-/// A basis is the O(rows)-sized state that survives a small perturbation
-/// of the program (Jyothi et al., arXiv 1402.2531): re-solving a sibling
-/// LP from a parent's basis skips most of phase 1 and phase 2. Translate
-/// entries into the child's variable space with [`Basis::translate`],
-/// then pass the result to [`crate::LinearProgram::solve_warm`].
-///
-/// ```
-/// use dcn_guard::prelude::*;
-/// use dcn_lp::{Cmp, LinearProgram};
-/// let mut lp = LinearProgram::new(1);
-/// lp.set_objective(&[(0, 1.0)]);
-/// lp.add_constraint(&[(0, 1.0)], Cmp::Le, 2.0);
-/// let (sol, basis) = lp.solve_warm(None, &unlimited()).unwrap();
-/// let basis = basis.expect("optimal solves export a basis");
-/// assert_eq!(basis.len(), lp.n_constraints());
-/// // Re-solve a sibling (same shape, perturbed RHS) from the basis.
-/// let mut sib = lp.clone();
-/// sib.add_constraint(&[(0, 1.0)], Cmp::Le, 1.5);
-/// let warm = basis.translate(|&v| Some(v));
-/// let (sol2, _) = sib.solve_warm(Some(&warm), &unlimited()).unwrap();
-/// assert!(sol2.objective <= sol.objective);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Basis {
-    entries: Vec<BasisVar>,
-}
-
-impl Basis {
-    /// Builds a basis from explicit entries (for translation layers that
-    /// reconstruct a child basis from parent semantics).
-    pub fn from_entries(entries: Vec<BasisVar>) -> Basis {
-        Basis { entries }
-    }
-
-    /// The basic columns, in no particular row order.
-    pub fn entries(&self) -> &[BasisVar] {
-        &self.entries
-    }
-
-    /// Number of basic columns recorded.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no basic column is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Maps every entry through `f`, dropping entries for which `f`
-    /// returns `None` (e.g. a parent decision variable with no surviving
-    /// child counterpart). Dropped rows are re-filled with slack columns
-    /// at import time.
-    ///
-    /// ```
-    /// use dcn_lp::{Basis, BasisVar};
-    /// let b = Basis::from_entries(vec![BasisVar::Decision(3), BasisVar::Slack(1)]);
-    /// let t = b.translate(|&v| match v {
-    ///     BasisVar::Decision(3) => Some(BasisVar::Decision(0)),
-    ///     _ => None,
-    /// });
-    /// assert_eq!(t.entries(), &[BasisVar::Decision(0)]);
-    /// ```
-    pub fn translate(&self, f: impl FnMut(&BasisVar) -> Option<BasisVar>) -> Basis {
-        Basis {
-            entries: self.entries.iter().filter_map(f).collect(),
-        }
-    }
-}
-
 /// Per-row normalization applied at tableau setup: rows with negative RHS
 /// are sign-flipped so all RHS are non-negative.
 #[derive(Clone, Copy)]
@@ -389,85 +286,17 @@ impl Tableau {
         self.basis = new_basis;
         Ok(())
     }
-
-    /// Bounded dual-simplex repair: drives negative basic values (primal
-    /// infeasibility left behind by importing a parent basis into a
-    /// perturbed program) out of the RHS column. Leaving row = most
-    /// negative RHS (ties → smallest row); entering column = the dual
-    /// ratio test over columns with a negative pivot entry (ties →
-    /// smallest column), restricted to `n_price` so artificials never
-    /// re-enter. Returns the pivot count, or `None` when the basis cannot
-    /// be repaired within `cap` pivots (no eligible entering column, or
-    /// the bound is hit) — the caller falls back to a cold start.
-    fn dual_repair(
-        &mut self,
-        n_price: usize,
-        cap: usize,
-        meter: &mut BudgetMeter<'_>,
-    ) -> Result<Option<u64>, LpError> {
-        let rhs = self.rhs_col();
-        let mut pivots = 0u64;
-        loop {
-            meter.tick()?;
-            let mut pr: Option<usize> = None;
-            let mut worst = -FEAS_TOL;
-            for r in 0..self.rows {
-                let b = self.at(r, rhs);
-                if b < worst {
-                    worst = b;
-                    pr = Some(r);
-                }
-            }
-            let Some(pr) = pr else {
-                return Ok(Some(pivots)); // primal feasible
-            };
-            if pivots as usize >= cap {
-                return Ok(None);
-            }
-            // Dual ratio test, two passes for deterministic ties: exact
-            // minimum ratio first, then the smallest eligible column
-            // within EPS of it. Reduced costs of a freshly imported basis
-            // are not guaranteed dual-feasible, so they are clamped at
-            // zero: the pass then still terminates at a primal-feasible
-            // basis and phase 2 restores dual feasibility.
-            let obj = self.rows;
-            let mut min_ratio = f64::INFINITY;
-            for c in 0..n_price {
-                let a = self.at(pr, c);
-                if a < -PIVOT_TOL {
-                    min_ratio = min_ratio.min(self.at(obj, c).max(0.0) / -a);
-                }
-            }
-            let mut pc: Option<usize> = None;
-            if min_ratio.is_finite() {
-                for c in 0..n_price {
-                    let a = self.at(pr, c);
-                    if a < -PIVOT_TOL && self.at(obj, c).max(0.0) / -a <= min_ratio + EPS {
-                        pc = Some(c);
-                        break;
-                    }
-                }
-            }
-            let Some(pc) = pc else {
-                return Ok(None); // row is all-nonnegative: unrepairable here
-            };
-            self.pivot(pr, pc);
-            pivots += 1;
-        }
-    }
 }
 
 /// The standard-form expansion of a [`LinearProgram`]: the working
 /// tableau with its identity basis, the sparse pristine rows, and the
-/// column bookkeeping shared by the cold and warm paths.
+/// column bookkeeping.
 struct StandardForm {
     t: Tableau,
     infos: Vec<RowInfo>,
     /// Identity column introduced for each row (slack for Le, artificial
     /// for Ge/Eq): its phase-2 reduced cost is the row's dual value.
     id_col: Vec<usize>,
-    /// The slack/surplus column of each row (`None` for Eq rows).
-    slack_col: Vec<Option<usize>>,
     pristine: Pristine,
     n: usize,
     n_art: usize,
@@ -515,7 +344,6 @@ fn standard_form(lp: &LinearProgram) -> StandardForm {
     let mut art_at = n + n_slack;
     let art_start = n + n_slack;
     let mut id_col = vec![0usize; m];
-    let mut slack_col = vec![None; m];
     for (r, (row, info)) in lp.rows().iter().zip(infos.iter()).enumerate() {
         let sign = if info.flip { -1.0 } else { 1.0 };
         for &(j, c) in &row.coeffs {
@@ -528,12 +356,10 @@ fn standard_form(lp: &LinearProgram) -> StandardForm {
                 t.set(r, slack_at, 1.0);
                 t.basis[r] = slack_at;
                 id_col[r] = slack_at;
-                slack_col[r] = Some(slack_at);
                 slack_at += 1;
             }
             Cmp::Ge => {
                 t.set(r, slack_at, -1.0);
-                slack_col[r] = Some(slack_at);
                 slack_at += 1;
                 t.set(r, art_at, 1.0);
                 t.basis[r] = art_at;
@@ -557,7 +383,6 @@ fn standard_form(lp: &LinearProgram) -> StandardForm {
         t,
         infos,
         id_col,
-        slack_col,
         pristine,
         n,
         n_art,
@@ -566,79 +391,8 @@ fn standard_form(lp: &LinearProgram) -> StandardForm {
     }
 }
 
-impl StandardForm {
-    /// Maps a tableau column index back to its semantic [`BasisVar`].
-    fn semantic(&self, col: usize) -> BasisVar {
-        if col < self.n {
-            return BasisVar::Decision(col);
-        }
-        if col < self.art_start {
-            let r = self
-                .slack_col
-                .iter()
-                .position(|&s| s == Some(col))
-                // dcn-lint: allow(panic-freedom) — every non-decision, pre-artificial column is a slack placed by standard_form
-                .expect("slack column owned by some row");
-            return BasisVar::Slack(r);
-        }
-        let r = self
-            .id_col
-            .iter()
-            .position(|&c| c == col)
-            // dcn-lint: allow(panic-freedom) — artificial columns past art_start are placed one per row by standard_form
-            .expect("artificial column owned by some row");
-        BasisVar::Artificial(r)
-    }
-
-    /// Exports the current basis semantically (for reuse against a
-    /// perturbed sibling program).
-    fn export_basis(&self) -> Basis {
-        Basis {
-            entries: self.t.basis.iter().map(|&c| self.semantic(c)).collect(),
-        }
-    }
-
-    /// Resolves a semantic warm basis into concrete tableau columns:
-    /// decision and slack entries map directly, duplicate or out-of-range
-    /// entries reject the import, and rows left without a basic column
-    /// are filled with their own slack. Returns `None` (→ cold start)
-    /// when the entries cannot form a full slack/decision basis — e.g.
-    /// artificial entries, or an Eq row that would need one.
-    fn import_basis(&self, warm: &Basis) -> Option<Vec<usize>> {
-        let m = self.t.rows;
-        if warm.entries.len() > m {
-            return None;
-        }
-        let mut used = vec![false; self.total];
-        let mut cols = Vec::with_capacity(m);
-        for v in &warm.entries {
-            let col = match *v {
-                BasisVar::Decision(j) if j < self.n => j,
-                BasisVar::Slack(r) if r < m => self.slack_col[r]?,
-                _ => return None, // artificial / out of range
-            };
-            if used[col] {
-                return None;
-            }
-            used[col] = true;
-            cols.push(col);
-        }
-        for r in 0..m {
-            if cols.len() == m {
-                break;
-            }
-            if let Some(s) = self.slack_col[r] {
-                if !used[s] {
-                    used[s] = true;
-                    cols.push(s);
-                }
-            }
-        }
-        (cols.len() == m).then_some(cols)
-    }
-}
-
-/// Solves `lp` (maximize `c · x`, `x >= 0`) under `budget`. When
+/// Solves `lp` (maximize `c · x`, `x >= 0`) under `budget` on the
+/// two-phase path: phase 1 with artificials, drive-out, then phase 2. When
 /// `validate_certs` is set, the returned optimum is checked against its
 /// certificates (finiteness, primal feasibility, duality gap) before being
 /// handed back.
@@ -647,90 +401,8 @@ pub(crate) fn solve(
     budget: &Budget,
     validate_certs: bool,
 ) -> Result<LpSolution, LpError> {
-    solve_with_basis(lp, None, budget, validate_certs).map(|(sol, _)| sol)
-}
-
-/// [`solve`] with basis import/export: an optional warm basis to start
-/// from, and the optimal basis exported alongside the solution (present
-/// only for `Optimal` outcomes). The warm attempt falls back to the cold
-/// two-phase path on singularity, unrepairable infeasibility, or a failed
-/// certificate; budget exhaustion propagates as [`LpError::Budget`]
-/// either way.
-pub(crate) fn solve_with_basis(
-    lp: &LinearProgram,
-    warm: Option<&Basis>,
-    budget: &Budget,
-    validate_certs: bool,
-) -> Result<(LpSolution, Option<Basis>), LpError> {
     let _span = dcn_obs::span!(dcn_obs::names::LP_SIMPLEX_SOLVE);
     let mut meter = budget.meter();
-
-    if let Some(warm) = warm {
-        match try_warm(lp, warm, &mut meter, validate_certs)? {
-            Some(out) => {
-                dcn_obs::counter!(dcn_obs::names::DELTA_BASIS_REUSED).inc();
-                return Ok(out);
-            }
-            None => {
-                dcn_obs::counter!(dcn_obs::names::DELTA_FALLBACK).inc();
-            }
-        }
-    }
-    solve_cold(lp, &mut meter, validate_certs)
-}
-
-/// Attempts the warm-started solve: import → refactor → bounded dual
-/// repair → phase 2 → certificates. `Ok(None)` means "fall back to cold";
-/// budget errors propagate.
-fn try_warm(
-    lp: &LinearProgram,
-    warm: &Basis,
-    meter: &mut BudgetMeter<'_>,
-    validate_certs: bool,
-) -> Result<Option<(LpSolution, Option<Basis>)>, LpError> {
-    let mut sf = standard_form(lp);
-    let Some(cols) = sf.import_basis(warm) else {
-        return Ok(None);
-    };
-    sf.t.basis = cols;
-    if sf.t.refactor(&sf.pristine, lp.objective()).is_err() {
-        return Ok(None); // numerically singular parent basis
-    }
-    dcn_obs::counter!(dcn_obs::names::LP_SIMPLEX_REFACTORIZATIONS).inc();
-    // Successful warm starts need few repair pivots in practice (a basis
-    // that needs ~rows of them is no better than a cold phase 1), so the
-    // cap is one pass over the rows — enough for genuine perturbation
-    // repair, cheap to exhaust on a hopeless import.
-    let repair_cap = sf.t.rows.max(16);
-    let Some(repair_pivots) = sf.t.dual_repair(sf.art_start, repair_cap, meter)? else {
-        return Ok(None); // unrepairable within the bound
-    };
-    if repair_pivots > 0 {
-        dcn_obs::counter!(dcn_obs::names::DELTA_REPAIR_PIVOTS).add(repair_pivots);
-    }
-    let status = phase2(lp, &mut sf, meter)?;
-    if status == LpStatus::Unbounded {
-        // Trust the outcome only from the cold path: an imported basis
-        // plus clamped repair duals is weak evidence for unboundedness.
-        return Ok(None);
-    }
-    match extract(lp, &sf, validate_certs) {
-        Ok(out) => Ok(Some(out)),
-        // A failed certificate on the warm path is a fallback trigger,
-        // not a terminal error: the cold path re-solves from scratch and
-        // its own certificates have the final say.
-        Err(LpError::Certificate(_)) => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
-/// The cold two-phase path (phase 1 with artificials, drive-out, then
-/// phase 2), byte-identical to the historical solver.
-fn solve_cold(
-    lp: &LinearProgram,
-    meter: &mut BudgetMeter<'_>,
-    validate_certs: bool,
-) -> Result<(LpSolution, Option<Basis>), LpError> {
     let mut sf = standard_form(lp);
     let m = sf.t.rows;
     let cols = sf.t.cols;
@@ -754,19 +426,17 @@ fn solve_cold(
         }
         let mut p1_obj = vec![0.0; sf.total];
         p1_obj[sf.art_start..sf.total].fill(-1.0);
-        let (status, p1_iters) = sf.t.optimize(sf.total, meter, Some((&sf.pristine, &p1_obj)))?;
+        let (status, p1_iters) =
+            sf.t.optimize(sf.total, &mut meter, Some((&sf.pristine, &p1_obj)))?;
         dcn_obs::counter!(dcn_obs::names::LP_SIMPLEX_PHASE1_ITERS).add(p1_iters);
         debug_assert_ne!(status, LpStatus::Unbounded, "phase 1 cannot be unbounded");
         let phase1 = -sf.t.at(m, cols - 1);
         if phase1 > 1e-7 {
-            return Ok((
-                LpSolution {
-                    status: LpStatus::Infeasible,
-                    objective: 0.0,
-                    x: vec![0.0; sf.n],
-                },
-                None,
-            ));
+            return Ok(LpSolution {
+                status: LpStatus::Infeasible,
+                objective: 0.0,
+                x: vec![0.0; sf.n],
+            });
         }
         // Drive remaining artificials out of the basis where possible.
         for r in 0..m {
@@ -787,36 +457,12 @@ fn solve_cold(
     // columns never re-enter: pricing below excludes them.)
     let singular = |col: usize| LpError::Certificate(dcn_guard::CertError::SingularBasis { col });
     sf.t.refactor(&sf.pristine, lp.objective()).map_err(singular)?;
-    let status = phase2(lp, &mut sf, meter)?;
-    if status == LpStatus::Unbounded {
-        return Ok((
-            LpSolution {
-                status,
-                objective: f64::INFINITY,
-                x: vec![0.0; sf.n],
-            },
-            None,
-        ));
-    }
-    extract(lp, &sf, validate_certs)
-}
-
-/// The phase-2 optimize/refactor-verify loop shared by the cold and warm
-/// paths: the tableau must already be canonicalized for the real
-/// objective with an artificial-free (or artificial-at-zero) basis.
-fn phase2(
-    lp: &LinearProgram,
-    sf: &mut StandardForm,
-    meter: &mut BudgetMeter<'_>,
-) -> Result<LpStatus, LpError> {
-    let singular = |col: usize| LpError::Certificate(dcn_guard::CertError::SingularBasis { col });
-    let m = sf.t.rows;
     let mut resumes = 0u32;
     let status = loop {
         // Price real + slack columns only; periodic refreshes rebuild the
         // tableau from pristine data mid-run.
         let (status, p2_iters) =
-            sf.t.optimize(sf.art_start, meter, Some((&sf.pristine, lp.objective())))?;
+            sf.t.optimize(sf.art_start, &mut meter, Some((&sf.pristine, lp.objective())))?;
         dcn_obs::counter!(dcn_obs::names::LP_SIMPLEX_PHASE2_ITERS).add(p2_iters);
         if status != LpStatus::Optimal {
             break status;
@@ -839,16 +485,23 @@ fn phase2(
         }
         dcn_obs::counter!(dcn_obs::names::LP_SIMPLEX_REFACTOR_RESUMES).inc();
     };
-    Ok(status)
+    if status == LpStatus::Unbounded {
+        return Ok(LpSolution {
+            status,
+            objective: f64::INFINITY,
+            x: vec![0.0; sf.n],
+        });
+    }
+    extract(lp, &sf, validate_certs)
 }
 
-/// Reads the optimal solution out of the final tableau, runs the
-/// certificate checks, and exports the basis.
+/// Reads the optimal solution out of the final tableau and runs the
+/// certificate checks.
 fn extract(
     lp: &LinearProgram,
     sf: &StandardForm,
     validate_certs: bool,
-) -> Result<(LpSolution, Option<Basis>), LpError> {
+) -> Result<LpSolution, LpError> {
     let m = sf.t.rows;
     let cols = sf.t.cols;
     let mut x = vec![0.0; sf.n];
@@ -872,8 +525,7 @@ fn extract(
     if validate_certs {
         verify_certificate(lp, &sol, &sf.t, &sf.infos, &sf.id_col).map_err(LpError::Certificate)?;
     }
-    let basis = sf.export_basis();
-    Ok((sol, Some(basis)))
+    Ok(sol)
 }
 
 /// Post-solve certificate checks for an `Optimal` solution: finiteness,
@@ -966,99 +618,5 @@ mod tests {
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!((sol.x[0] - 1.0).abs() < 1e-8);
         assert!((sol.x[1] - 1.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn cold_solve_exports_importable_basis() {
-        let mut lp = LinearProgram::new(2);
-        lp.set_objective(&[(0, 3.0), (1, 5.0)]);
-        lp.add_constraint(&[(0, 1.0)], Cmp::Le, 4.0);
-        lp.add_constraint(&[(1, 2.0)], Cmp::Le, 12.0);
-        lp.add_constraint(&[(0, 3.0), (1, 2.0)], Cmp::Le, 18.0);
-        let (cold, basis) = lp.solve_warm(None, &Budget::unlimited()).unwrap();
-        let basis = basis.unwrap();
-        assert_eq!(basis.len(), 3);
-        // Self-warm: re-solving from the optimal basis reproduces the
-        // optimum bit-for-bit (zero phase-2 pivots needed).
-        let (warm, _) = lp.solve_warm(Some(&basis), &Budget::unlimited()).unwrap();
-        assert_eq!(warm.status, LpStatus::Optimal);
-        assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
-        for (a, b) in warm.x.iter().zip(cold.x.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn warm_start_survives_rhs_perturbation() {
-        // Tighten a binding capacity: the parent basis becomes primal
-        // infeasible and the dual repair pass must fix it.
-        let mut lp = LinearProgram::new(2);
-        lp.set_objective(&[(0, 3.0), (1, 5.0)]);
-        lp.add_constraint(&[(0, 1.0)], Cmp::Le, 4.0);
-        lp.add_constraint(&[(1, 2.0)], Cmp::Le, 12.0);
-        lp.add_constraint(&[(0, 3.0), (1, 2.0)], Cmp::Le, 18.0);
-        let (_, basis) = lp.solve_warm(None, &Budget::unlimited()).unwrap();
-        let basis = basis.unwrap();
-        let mut child = LinearProgram::new(2);
-        child.set_objective(&[(0, 3.0), (1, 5.0)]);
-        child.add_constraint(&[(0, 1.0)], Cmp::Le, 4.0);
-        child.add_constraint(&[(1, 2.0)], Cmp::Le, 10.0);
-        child.add_constraint(&[(0, 3.0), (1, 2.0)], Cmp::Le, 18.0);
-        let (warm, _) = child.solve_warm(Some(&basis), &Budget::unlimited()).unwrap();
-        let cold = child.solve(&Budget::unlimited()).unwrap();
-        assert_eq!(warm.status, LpStatus::Optimal);
-        assert!((warm.objective - cold.objective).abs() < 1e-9);
-    }
-
-    #[test]
-    fn nonsense_warm_basis_falls_back_to_cold() {
-        let mut lp = LinearProgram::new(2);
-        lp.set_objective(&[(0, 1.0), (1, 1.0)]);
-        lp.add_constraint(&[(0, 1.0), (1, 1.0)], Cmp::Le, 4.0);
-        // Duplicates, out-of-range indices, artificials: all rejected at
-        // import, all still solve via the cold path.
-        for bad in [
-            Basis::from_entries(vec![BasisVar::Decision(0), BasisVar::Decision(0)]),
-            Basis::from_entries(vec![BasisVar::Decision(99)]),
-            Basis::from_entries(vec![BasisVar::Slack(7)]),
-            Basis::from_entries(vec![BasisVar::Artificial(0)]),
-        ] {
-            let (sol, _) = lp.solve_warm(Some(&bad), &Budget::unlimited()).unwrap();
-            assert_eq!(sol.status, LpStatus::Optimal);
-            assert!((sol.objective - 4.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn warm_infeasible_child_detected() {
-        let mut lp = LinearProgram::new(1);
-        lp.set_objective(&[(0, 1.0)]);
-        lp.add_constraint(&[(0, 1.0)], Cmp::Le, 2.0);
-        let (_, basis) = lp.solve_warm(None, &Budget::unlimited()).unwrap();
-        let mut child = LinearProgram::new(1);
-        child.set_objective(&[(0, 1.0)]);
-        child.add_constraint(&[(0, 1.0)], Cmp::Le, 1.0);
-        child.add_constraint(&[(0, 1.0)], Cmp::Ge, 2.0);
-        let (sol, exported) = child
-            .solve_warm(basis.as_ref(), &Budget::unlimited())
-            .unwrap();
-        assert_eq!(sol.status, LpStatus::Infeasible);
-        assert!(exported.is_none());
-    }
-
-    #[test]
-    fn translate_drops_dead_vars() {
-        let b = Basis::from_entries(vec![
-            BasisVar::Decision(0),
-            BasisVar::Decision(5),
-            BasisVar::Slack(2),
-        ]);
-        let t = b.translate(|&v| match v {
-            BasisVar::Decision(5) => None,
-            other => Some(other),
-        });
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
-        assert_eq!(t.entries()[1], BasisVar::Slack(2));
     }
 }

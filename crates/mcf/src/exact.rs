@@ -10,27 +10,13 @@
 use crate::pathset::PathSet;
 use crate::{McfError, Provenance, ThroughputResult};
 use dcn_guard::{validate, Budget};
-use dcn_lp::{Basis, Cmp, LinearProgram, LpError, LpStatus};
+use dcn_lp::{Cmp, LinearProgram, LpError, LpStatus};
 
-/// Variable/row layout of the path LP, recorded so a basis exported from
-/// one instance can be re-mapped onto a perturbed sibling's rows (see
-/// [`crate::delta::DeltaCtx`]). Variables are path flows in
-/// commodity-major enumeration order, then `θ` last. Rows are one `Ge`
-/// row per commodity (in commodity order), then one `Le` capacity row
-/// per *used* directed edge.
-#[derive(Debug, Clone)]
-pub(crate) struct ExactLayout {
-    /// Directed-edge index ([`PathSet::dir_index`] on the path set's own
-    /// graph) of each capacity row, in row order after the commodity rows.
-    pub edge_row_dirs: Vec<usize>,
-    /// Number of commodity rows (they come first).
-    pub n_commodities: usize,
-    /// Number of path variables (`θ` is variable `n_paths`).
-    pub n_paths: usize,
-}
-
-/// Builds the path LP and its layout from a path set.
-fn build_lp(ps: &PathSet) -> (LinearProgram, ExactLayout) {
+/// Builds the path LP from a path set. Variables are path flows in
+/// commodity-major enumeration order, then `θ` last. Rows are one `Ge` row
+/// per commodity (in commodity order), then one `Le` capacity row per
+/// *used* directed edge.
+fn build_lp(ps: &PathSet) -> LinearProgram {
     let n_paths = ps.total_paths();
     dcn_obs::histogram!(dcn_obs::names::MCF_EXACT_COLUMNS).record_u64(n_paths as u64 + 1);
     let theta_var = n_paths; // last variable
@@ -52,20 +38,13 @@ fn build_lp(ps: &PathSet) -> (LinearProgram, ExactLayout) {
         row.push((theta_var, -c.demand));
         lp.add_constraint(&row, Cmp::Ge, 0.0);
     }
-    let mut edge_row_dirs = Vec::new();
     for (i, row) in edge_rows.iter().enumerate() {
         if !row.is_empty() {
             let cap = ps.graph().capacity((i / 2) as u32);
             lp.add_constraint(row, Cmp::Le, cap);
-            edge_row_dirs.push(i);
         }
     }
-    let layout = ExactLayout {
-        edge_row_dirs,
-        n_commodities: ps.commodities().len(),
-        n_paths,
-    };
-    (lp, layout)
+    lp
 }
 
 /// Solves the path LP exactly. Also reports the shortest-path flow
@@ -77,22 +56,10 @@ fn build_lp(ps: &PathSet) -> (LinearProgram, ExactLayout) {
 /// certificate validation is enabled the routed flow is additionally
 /// checked against edge capacities and per-commodity service at `θ`.
 pub fn solve(ps: &PathSet, budget: &Budget) -> Result<ThroughputResult, McfError> {
-    solve_core(ps, None, budget).map(|(r, _, _)| r)
-}
-
-/// [`solve`] with basis import/export: warm-starts the simplex from a
-/// translated parent [`Basis`] when one is supplied (falling back to a
-/// cold solve inside the LP layer on any trouble) and exports the optimal
-/// basis plus the LP layout for future delta solves.
-pub(crate) fn solve_core(
-    ps: &PathSet,
-    warm: Option<&Basis>,
-    budget: &Budget,
-) -> Result<(ThroughputResult, Option<Basis>, ExactLayout), McfError> {
     let _span = dcn_obs::span!(dcn_obs::names::MCF_EXACT_SOLVE);
-    let (lp, layout) = build_lp(ps);
+    let lp = build_lp(ps);
     dcn_obs::histogram!(dcn_obs::names::MCF_EXACT_ROWS).record_u64(lp.n_constraints() as u64);
-    let (sol, basis) = lp.solve_warm(warm, budget).map_err(|e| match e {
+    let sol = lp.solve(budget).map_err(|e| match e {
         LpError::Budget(b) => McfError::Budget(b),
         LpError::BadInput(c) | LpError::Certificate(c) => McfError::Certificate(c),
     })?;
@@ -116,16 +83,12 @@ pub(crate) fn solve_core(
     if dcn_guard::validation_enabled() {
         verify_flow_certificate(ps, theta, &flows)?;
     }
-    Ok((
-        ThroughputResult {
-            theta_lb: theta,
-            theta_ub: theta,
-            shortest_path_fraction: ps.shortest_path_fraction(&flows),
-            provenance: Provenance::Exact,
-        },
-        basis,
-        layout,
-    ))
+    Ok(ThroughputResult {
+        theta_lb: theta,
+        theta_ub: theta,
+        shortest_path_fraction: ps.shortest_path_fraction(&flows),
+        provenance: Provenance::Exact,
+    })
 }
 
 /// MCF-level certificate: the recovered per-path flows must respect every

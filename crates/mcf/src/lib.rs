@@ -26,7 +26,7 @@ pub mod fptas;
 pub mod pathset;
 pub mod routing;
 
-pub use delta::{DeltaCtx, PairMemo};
+pub use delta::PairMemo;
 pub use pathset::{Commodity, PathSet, SharedPathSet};
 pub use routing::{ecmp_throughput, vlb_throughput};
 

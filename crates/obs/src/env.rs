@@ -122,13 +122,6 @@ pub const RESULTS_DIR: EnvVar = EnvVar {
     doc: "Output directory for tables, CSVs, run manifests, and traces.",
 };
 
-/// Perf-gate baseline file override.
-pub const BENCH_BASELINE: EnvVar = EnvVar {
-    name: "DCN_BENCH_BASELINE",
-    default: "BENCH_BASELINE.json at the workspace root",
-    doc: "Perf-gate baseline file compared against fresh manifests (refreshed with `--baseline`).",
-};
-
 // --- dcnd ------------------------------------------------------------------
 
 /// Unix socket path the daemon listens on.
@@ -177,7 +170,6 @@ pub const ALL: &[&EnvVar] = &[
     &TRACE_FILE,
     &TRACE_MAX_EVENTS,
     &RESULTS_DIR,
-    &BENCH_BASELINE,
     &DCND_SOCKET,
     &DCND_QUEUE_DEPTH,
     &DCND_MAX_INFLIGHT,

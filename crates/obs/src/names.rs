@@ -181,22 +181,17 @@ pub const TRACE_EVENTS_DROPPED: &str = "trace.events.dropped";
 
 // --- delta (incremental solving, spans lp/mcf/core) ------------------------
 
-/// Warm solves that successfully reused a parent basis (counter).
-pub const DELTA_BASIS_REUSED: &str = "delta.basis.reused";
-/// Warm attempts that fell back to a cold solve — singular basis,
-/// unrepairable infeasibility, a failed certificate, or a failure sample
-/// whose parent matching could not be solved (counter).
+/// Failure samples solved cold because their parent matching could not
+/// be solved (counter).
 pub const DELTA_FALLBACK: &str = "delta.fallback";
-/// Dual-simplex repair pivots spent fixing imported bases (counter).
-pub const DELTA_REPAIR_PIVOTS: &str = "delta.repair.pivots";
 /// Hungarian matchings patched incrementally instead of recomputed
 /// (counter).
 pub const DELTA_MATCHING_PATCHED: &str = "delta.matching.patched";
 /// BFS distance rows a delta-TUB solve computes for its failure sample
 /// (counter).
 pub const DELTA_DIST_ROWS_REBUILT: &str = "delta.dist.rows_rebuilt";
-/// Per-commodity path enumerations reused from the parent path set
-/// (counter).
+/// Per-commodity path enumerations served from a `PairMemo` instead of
+/// re-enumerated (counter).
 pub const DELTA_PATHS_REUSED: &str = "delta.paths.reused";
 
 // --- dcnd ------------------------------------------------------------------
@@ -281,9 +276,7 @@ pub const ALL: &[&str] = &[
     CACHE_HIT_RATE,
     TRACE_EVENTS_RECORDED,
     TRACE_EVENTS_DROPPED,
-    DELTA_BASIS_REUSED,
     DELTA_FALLBACK,
-    DELTA_REPAIR_PIVOTS,
     DELTA_MATCHING_PATCHED,
     DELTA_DIST_ROWS_REBUILT,
     DELTA_PATHS_REUSED,
