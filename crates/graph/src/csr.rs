@@ -130,6 +130,13 @@ impl Graph {
             .zip(self.adj_edge[lo..hi].iter().copied())
     }
 
+    /// The CSR row offsets and the flattened neighbour ids, borrowed in
+    /// place: the neighbours of `u` are `adj[offsets[u]..offsets[u + 1]]`.
+    #[inline]
+    pub(crate) fn adjacency(&self) -> (&[u32], &[NodeId]) {
+        (&self.offsets, &self.adj_node)
+    }
+
     /// Endpoints of undirected edge `e`.
     #[inline]
     pub fn edge(&self, e: EdgeId) -> (NodeId, NodeId) {
