@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Shared harness support for the experiment binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
@@ -19,8 +18,6 @@
 //! With `DCN_TRACE_FILE=<path>` (or `DCN_OBS=trace`) the harness also
 //! installs the `dcn-trace` per-event recorder at startup and flushes a
 //! Chrome `trace_event` JSON file at manifest time — see DESIGN.md §12.
-
-#![warn(missing_docs)]
 
 use std::fmt::Display;
 use std::fs;
@@ -76,9 +73,12 @@ pub fn results_dir() -> Result<PathBuf, ResultsDirError> {
     Ok(dir)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock anchor for human-facing progress lines only; never feeds solver results"
+)]
 fn process_start() -> Instant {
     static START: OnceLock<Instant> = OnceLock::new();
-    // dcn-lint: allow(nondeterminism) — wall-clock anchor for human-facing progress lines only; never feeds solver results
     *START.get_or_init(Instant::now)
 }
 

@@ -7,6 +7,11 @@
 //! an env gate), because the tracer and the panic hook are process-global
 //! state, and the panicking child's job is to die.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the test re-invokes its own binary as a child process, gated by an env var"
+)]
+
 use dcn_obs::json::Json;
 use std::path::{Path, PathBuf};
 use std::process::Command;

@@ -37,9 +37,6 @@
 //! outcome than a fallback or truncation, but observable in provenance
 //! fields). Budget-sensitivity tests should use [`CacheHandle::disabled`].
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod ctx;
 mod disk;
 mod hash;

@@ -2,8 +2,8 @@
 //! byte-budget eviction.
 //!
 //! Recency is tracked with a global *logical* clock (an `AtomicU64`
-//! bumped on every touch), not wall time — the workspace nondeterminism
-//! rules keep `Instant::now` out of non-clock crates, and a logical clock
+//! bumped on every touch), not wall time — clippy's `disallowed-methods`
+//! keeps `Instant::now` out of non-clock crates, and a logical clock
 //! makes eviction order reproducible for a serial access sequence.
 
 use crate::disk::DiskTier;

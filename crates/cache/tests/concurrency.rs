@@ -11,6 +11,11 @@
 //! failure → quarantine, which both the children and the parent assert
 //! never happens.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the test races child processes, gated by an env var, on one record directory"
+)]
+
 use dcn_cache::{CacheEntry, CacheHandle, CacheKey, KeyBuilder};
 use dcn_obs::json::Json;
 use std::path::PathBuf;

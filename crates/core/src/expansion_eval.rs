@@ -9,7 +9,6 @@
 use crate::tub::{tub, MatchingBackend};
 use crate::CoreError;
 use dcn_cache::SolveCtx;
-use dcn_exec::Pool;
 use dcn_model::Topology;
 use dcn_topo::expand_by_rewiring;
 use rand::rngs::StdRng;
@@ -30,7 +29,6 @@ pub struct ExpansionPoint {
 /// Expands `initial` in `steps` increments of `step_fraction` of the
 /// *initial* switch count (the paper uses 20% steps up to 2.6x), computing
 /// the tub after each step.
-#[allow(clippy::too_many_arguments)]
 pub fn expansion_curve(
     initial: &Topology,
     h: u32,
@@ -65,45 +63,6 @@ pub fn expansion_curve(
         });
     }
     Ok(out)
-}
-
-/// Runs [`expansion_curve`] once per seed across the [`dcn_exec`] pool and
-/// averages the curves pointwise. Rewiring is random, so a single curve is
-/// one sample; the ensemble mean is what Figure A.4 actually plots. Each
-/// curve is inherently sequential (every step rewires the previous
-/// topology), so the fan-out is across seeds.
-///
-/// The expansion ratios are identical across seeds (step sizes depend only
-/// on `steps`/`step_fraction`); tub and normalized values are averaged.
-/// All seeds share the one [`CacheHandle`]: the initial topology's tub is
-/// computed once and every rerun of the ensemble warm-starts.
-#[allow(clippy::too_many_arguments)]
-pub fn expansion_ensemble(
-    initial: &Topology,
-    h: u32,
-    steps: usize,
-    step_fraction: f64,
-    backend: MatchingBackend,
-    seeds: &[u64],
-    ctx: &SolveCtx<'_>,
-) -> Result<Vec<ExpansionPoint>, CoreError> {
-    if seeds.is_empty() {
-        return Err(CoreError::OutOfRegime("empty seed ensemble".into()));
-    }
-    let curves = Pool::from_env().par_map(ctx.budget, seeds, |_, &seed| {
-        let _curve = dcn_obs::span!(dcn_obs::names::CORE_EXPANSION_CURVE);
-        expansion_curve(initial, h, steps, step_fraction, backend, seed, ctx)
-    })?;
-    let n = curves[0].len();
-    let k = curves.len() as f64;
-    let mean = (0..n)
-        .map(|i| ExpansionPoint {
-            ratio: curves[0][i].ratio,
-            tub: curves.iter().map(|c| c[i].tub).sum::<f64>() / k,
-            normalized: curves.iter().map(|c| c[i].normalized).sum::<f64>() / k,
-        })
-        .collect();
-    Ok(mean)
 }
 
 #[cfg(test)]

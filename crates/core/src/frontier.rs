@@ -128,7 +128,6 @@ pub fn satisfies(
 /// the paper's regime up to instance noise); a doubling scan brackets the
 /// transition and binary search pins it down. Returns `None` when even the
 /// smallest instance fails.
-#[allow(clippy::too_many_arguments)]
 pub fn frontier_max_servers(
     family: Family,
     radix: u32,

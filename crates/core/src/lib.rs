@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! The paper's primary contribution, as a library.
 //!
 //! * [`tub`] — the throughput upper bound of Theorem 2.2 (Equation 1) and
@@ -22,7 +21,8 @@
 //! * [`expansion_eval`] — normalized throughput under random-rewiring
 //!   expansion (Figure A.4).
 
-#![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod birkhoff;
 pub mod cost;

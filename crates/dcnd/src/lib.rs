@@ -38,8 +38,6 @@
 //! per-process context (shared cache + global budget) through the whole
 //! stack. See DESIGN.md §15.
 
-#![forbid(unsafe_code)]
-
 use dcn_cache::{CacheEntry, CacheHandle, CacheKey, KeyBuilder, SolveCtx};
 use dcn_core::frontier::Family;
 use dcn_core::{CoreError, MatchingBackend};

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! The throughput estimators the paper compares **tub** against (§3.2,
 //! Figure 5), reimplemented from their original descriptions:
 //!
@@ -22,7 +21,8 @@
 //! estimate the throughput *of a given traffic matrix*; the cut- and
 //! distance-based estimators depend only on the topology and ignore it.
 
-#![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use dcn_cache::SolveCtx;
 use dcn_core::{tub, CoreError, MatchingBackend};

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `dcn-exec`: a deterministic parallel fan-out engine.
 //!
 //! The paper's evaluation is dominated by embarrassingly-parallel sweeps —
@@ -57,8 +56,6 @@
 //!     .unwrap();
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
-
-#![warn(missing_docs)]
 
 use dcn_guard::{Budget, BudgetError};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -163,11 +160,16 @@ impl Pool {
         // Each worker claims monotonically increasing indices and collects
         // (index, result) pairs locally; the caller thread merges them back
         // into input order. No shared mutable slots, no unsafe.
+        #[expect(clippy::disallowed_methods, reason = "only dcn-exec spawns threads")]
         let locals: Vec<Vec<(usize, Result<T, E>)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
                         let _ = dcn_obs::set_thread_span_parent(span_parent.clone());
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "worker busy time feeds only the utilization histogram"
+                        )]
                         let started = Instant::now();
                         let mut local: Vec<(usize, Result<T, E>)> = Vec::new();
                         loop {
@@ -270,6 +272,10 @@ impl Pool {
         F: Fn(usize, &I) -> Result<T, E>,
     {
         let tasks_ctr = dcn_obs::counter!(dcn_obs::names::EXEC_POOL_TASKS);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "worker busy time feeds only the utilization histogram"
+        )]
         let started = Instant::now();
         let mut out = Vec::with_capacity(items.len());
         for (i, item) in items.iter().enumerate() {

@@ -157,6 +157,10 @@ impl Graph {
 
     /// Returns a copy of this graph with the given undirected edges removed.
     /// Edge ids are renumbered densely; used for failure injection.
+    #[expect(
+        clippy::expect_used,
+        reason = "edges of an already-validated graph stay in range after filtering"
+    )]
     pub fn without_edges(&self, removed: &[EdgeId]) -> Graph {
         let mut keep = vec![true; self.m()];
         for &e in removed {
@@ -170,9 +174,7 @@ impl Graph {
             .filter(|(i, _)| keep[*i])
             .map(|(_, (&(u, v), &c))| (u, v, c))
             .collect();
-        Graph::from_weighted_edges(self.n, &remaining)
-            // dcn-lint: allow(panic-freedom) — edges of an already-validated graph stay in range after filtering
-            .expect("subgraph of a valid graph is valid")
+        Graph::from_weighted_edges(self.n, &remaining).expect("subgraph of a valid graph is valid")
     }
 
     /// True if every node is reachable from node 0 (or the graph is empty).
@@ -180,13 +182,16 @@ impl Graph {
         if self.n == 0 {
             return true;
         }
-        let dist = self.bfs_distances(0);
-        dist.iter().all(|&d| d != u16::MAX)
+        self.reachable_count(0) == self.n
     }
 
     /// Merges parallel edges into single edges whose capacity is the sum of
     /// the parallel capacities. Useful before path enumeration, where parallel
     /// edges only multiply identical paths.
+    #[expect(
+        clippy::expect_used,
+        reason = "merging parallel edges of a validated graph cannot produce out-of-range endpoints"
+    )]
     pub fn coalesced(&self) -> Graph {
         use std::collections::HashMap;
         let mut acc: HashMap<(NodeId, NodeId), f64> = HashMap::new();
@@ -197,7 +202,6 @@ impl Graph {
         let mut merged: Vec<(NodeId, NodeId, f64)> =
             acc.into_iter().map(|((u, v), c)| (u, v, c)).collect();
         merged.sort_by_key(|&(u, v, _)| (u, v));
-        // dcn-lint: allow(panic-freedom) — merging parallel edges of a validated graph cannot produce out-of-range endpoints
         Graph::from_weighted_edges(self.n, &merged).expect("merged edges are valid")
     }
 }

@@ -261,7 +261,10 @@ fn k_shortest_impl(
 }
 
 /// Iterative DFS collecting all simple paths of length exactly `budget`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "private DFS helper; a struct for its inputs would only rename them"
+)]
 fn dfs_exact(
     g: &Graph,
     src: NodeId,

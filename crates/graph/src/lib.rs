@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Graph substrate for the `dcn` workspace.
 //!
 //! Datacenter topologies at the switch level are sparse undirected
@@ -19,7 +18,8 @@
 //! matrices use `u16` entries so that all-pairs distances for 20K-switch
 //! topologies stay within a few hundred MB.
 
-#![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod csr;
 pub mod dist;

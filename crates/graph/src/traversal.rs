@@ -1,32 +1,22 @@
-//! BFS traversal: single-source distances, shortest-path counting, and
-//! eccentricity/diameter helpers.
+//! BFS traversal: single-source distances, reachability, shortest-path
+//! counting, and the diameter.
 
 use crate::csr::{Graph, NodeId};
 
 impl Graph {
     /// Unweighted single-source shortest-path distances from `src`.
-    /// Unreachable nodes get `u16::MAX`.
-    // dcn-lint: allow(budget-coverage) — BFS visits each node once; bounded by n with no budget worth threading
+    /// Unreachable nodes, and nodes more than `u16::MAX - 1` hops away,
+    /// get `u16::MAX`.
     pub fn bfs_distances(&self, src: NodeId) -> Vec<u16> {
-        let mut dist = vec![u16::MAX; self.n()];
-        let mut queue = std::collections::VecDeque::with_capacity(self.n());
-        dist[src as usize] = 0;
-        queue.push_back(src);
-        while let Some(u) = queue.pop_front() {
-            let du = dist[u as usize];
-            for (v, _) in self.neighbors(u) {
-                if dist[v as usize] == u16::MAX {
-                    dist[v as usize] = du + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
+        let mut dist = vec![0; self.n()];
+        let mut queue = Vec::with_capacity(self.n());
+        self.bfs_distances_into(src, &mut dist, &mut queue);
         dist
     }
 
     /// BFS distances from `src`, reusing caller-provided scratch buffers to
     /// avoid repeated allocation in all-pairs loops. `dist` must have length
-    /// `n` and is fully overwritten.
+    /// `n` and is fully overwritten, with the marks of [`Graph::bfs_distances`].
     // dcn-lint: allow(budget-coverage) — BFS visits each node once; bounded by n with no budget worth threading
     pub fn bfs_distances_into(&self, src: NodeId, dist: &mut [u16], queue: &mut Vec<NodeId>) {
         debug_assert_eq!(dist.len(), self.n());
@@ -38,14 +28,41 @@ impl Graph {
         while head < queue.len() {
             let u = queue[head];
             head += 1;
-            let du = dist[u as usize];
+            let next = dist[u as usize] + 1;
+            if next == u16::MAX {
+                // Nodes pop in distance order, so every node still queued
+                // is u16::MAX - 1 hops away too: stop expanding.
+                break;
+            }
             for (v, _) in self.neighbors(u) {
                 if dist[v as usize] == u16::MAX {
-                    dist[v as usize] = du + 1;
+                    dist[v as usize] = next;
                     queue.push(v);
                 }
             }
         }
+    }
+
+    /// Number of nodes reachable from `src`, `src` included. It reads no
+    /// distance, so it is exact at any diameter.
+    // dcn-lint: allow(budget-coverage) — BFS visits each node once; bounded by n with no budget worth threading
+    pub fn reachable_count(&self, src: NodeId) -> usize {
+        let mut seen = vec![false; self.n()];
+        let mut queue = Vec::with_capacity(self.n());
+        seen[src as usize] = true;
+        queue.push(src);
+        let mut head = 0;
+        while head < queue.len() {
+            let u = queue[head];
+            head += 1;
+            for (v, _) in self.neighbors(u) {
+                if !seen[v as usize] {
+                    seen[v as usize] = true;
+                    queue.push(v);
+                }
+            }
+        }
+        queue.len()
     }
 
     /// Number of distinct shortest paths from `src` to every node, saturating
@@ -59,12 +76,14 @@ impl Graph {
         let mut order: Vec<NodeId> = (0..self.n() as NodeId).collect();
         order.sort_by_key(|&v| dist[v as usize]);
         for &u in &order {
-            if dist[u as usize] == u16::MAX || u == src {
+            let du = dist[u as usize];
+            if du == u16::MAX || u == src {
                 continue;
             }
+            // u is reachable and not src, so du ≥ 1.
             let mut c: u64 = 0;
             for (v, _) in self.neighbors(u) {
-                if dist[v as usize] + 1 == dist[u as usize] {
+                if dist[v as usize] == du - 1 {
                     c = c.saturating_add(count[v as usize]);
                 }
             }
@@ -73,16 +92,8 @@ impl Graph {
         count
     }
 
-    /// Eccentricity of `src`: max distance to any reachable node.
-    pub fn eccentricity(&self, src: NodeId) -> u16 {
-        self.bfs_distances(src)
-            .into_iter()
-            .filter(|&d| d != u16::MAX)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Exact diameter by running BFS from every node. `O(n (n + m))`.
+    /// Pairs more than `u16::MAX - 1` hops apart are not counted.
     pub fn diameter(&self) -> u16 {
         let mut dist = vec![0u16; self.n()];
         let mut queue = Vec::with_capacity(self.n());
@@ -96,32 +107,6 @@ impl Graph {
             }
         }
         best
-    }
-
-    /// Mean shortest-path length over all ordered reachable pairs `(u, v)`,
-    /// `u != v`. Returns 0 for graphs with fewer than 2 nodes.
-    pub fn average_path_length(&self) -> f64 {
-        if self.n() < 2 {
-            return 0.0;
-        }
-        let mut dist = vec![0u16; self.n()];
-        let mut queue = Vec::with_capacity(self.n());
-        let mut total: u64 = 0;
-        let mut pairs: u64 = 0;
-        for u in 0..self.n() as NodeId {
-            self.bfs_distances_into(u, &mut dist, &mut queue);
-            for (v, &d) in dist.iter().enumerate() {
-                if v as NodeId != u && d != u16::MAX {
-                    total += d as u64;
-                    pairs += 1;
-                }
-            }
-        }
-        if pairs == 0 {
-            0.0
-        } else {
-            total as f64 / pairs as f64
-        }
     }
 }
 
@@ -151,6 +136,8 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1)]).unwrap();
         let d = g.bfs_distances(0);
         assert_eq!(d[2], u16::MAX);
+        assert_eq!(g.reachable_count(0), 2);
+        assert_eq!(g.reachable_count(2), 1);
     }
 
     #[test]
@@ -168,15 +155,32 @@ mod tests {
     fn diameter_and_ecc() {
         assert_eq!(path4().diameter(), 3);
         assert_eq!(cycle4().diameter(), 2);
-        assert_eq!(path4().eccentricity(1), 2);
     }
 
+    /// Path graph 0-1-…-(n-1).
+    fn path(n: usize) -> Graph {
+        let edges: Vec<(NodeId, NodeId)> = (1..n as NodeId).map(|v| (v - 1, v)).collect();
+        Graph::from_edges(n, &edges).unwrap()
+    }
+
+    /// Paths whose far end lies u16::MAX - 1, u16::MAX and u16::MAX + 1
+    /// hops from node 0: connectivity stays exact, distances past
+    /// u16::MAX - 1 read u16::MAX instead of wrapping, and nothing
+    /// overflows in a debug build.
     #[test]
-    fn avg_path_length_cycle() {
-        // 4-cycle: each node has two nodes at distance 1, one at distance 2.
-        // mean = (1+1+2)/3 = 4/3.
-        let apl = cycle4().average_path_length();
-        assert!((apl - 4.0 / 3.0).abs() < 1e-12);
+    fn long_paths_neither_wrap_nor_disconnect() {
+        for n in [65_535, 65_536, 65_537] {
+            let g = path(n);
+            assert!(g.is_connected(), "n = {n}");
+            assert_eq!(g.reachable_count(0), n);
+            let hops: Vec<u16> = (0..n).map(|v| v.min(u16::MAX as usize) as u16).collect();
+            assert!(g.bfs_distances(0) == hops, "n = {n}");
+            let mut from_end = g.bfs_distances(n as NodeId - 1);
+            from_end.reverse();
+            assert!(from_end == hops, "n = {n}");
+            let counts: Vec<u64> = (0..n).map(|v| u64::from(v < u16::MAX as usize)).collect();
+            assert!(g.count_shortest_paths(0) == counts, "n = {n}");
+        }
     }
 
     #[test]

@@ -11,9 +11,7 @@
 //! analysis), and what the `dcn_guard::env` registry declares.
 //!
 //! [`index_file`] extracts one file's contribution; [`WorkspaceIndex::build`]
-//! merges all of them. Indexing is per-file and side-effect-free, so the
-//! driver fans it out over `dcn_exec::Pool::par_map` together with the
-//! per-file rules.
+//! merges all of them.
 //!
 //! Known limitations (same spirit as DESIGN.md §9): declarations are
 //! recognized from `ident: Mutex<…>` / `ident: Atomic…` type ascriptions

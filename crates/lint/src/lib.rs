@@ -1,33 +1,31 @@
-#![forbid(unsafe_code)]
 //! dcn-lint: a self-contained static-analysis pass over the workspace's
-//! own Rust sources.
+//! own Rust sources, for the invariants rustc and clippy cannot express.
 //!
-//! The linter enforces the invariants that keep the TUB pipeline honest:
-//! solver code is panic-free, every unbounded loop answers to a
+//! The linter enforces the domain rules that keep the TUB pipeline
+//! honest: every unbounded solver loop answers to a
 //! [`Budget`](../dcn_guard/struct.Budget.html), float comparisons go
 //! through tolerance helpers, metric names live in one registry, locks
 //! are acquired in one declared order and never held across blocking
 //! calls, atomics spell out their memory orderings, and every `DCN_*`
 //! environment knob is registered in `dcn_guard::env` and mirrored in
-//! the README.
+//! the README. The generic invariants (no panics in solver crates, no
+//! `unsafe`, documented public items, clocks/threads/processes/env reads
+//! only where allowed) are rustc and clippy lints: see
+//! `[workspace.lints]` in the root `Cargo.toml` and `clippy.toml`.
 //!
-//! It deliberately has **zero external dependencies** and no real Rust
-//! parser: a lossy scanner ([`scan`]) masks comments and string contents
-//! while preserving byte offsets, which is enough for the token-level
-//! rules in [`rules`]. Since v2 the engine is two-pass: pass 1 builds a
-//! workspace symbol [`index`] (each file parsed exactly once), pass 2
-//! fans the per-file rules out over a `dcn_exec::Pool` — diagnostics are
-//! merged in input order, so the report is byte-identical at any
-//! `DCN_EXEC_THREADS` — and runs the cross-file registry rules serially.
-//! The trade-offs of the lossy scan are documented in DESIGN.md §9/§14.
+//! It has **no dependencies** and no real Rust parser: a lossy scanner
+//! ([`scan`]) masks comments and string contents while preserving byte
+//! offsets, which is enough for the token-level rules in [`rules`]. The
+//! engine is two-pass and serial: pass 1 builds a workspace symbol
+//! [`index`] (each file parsed exactly once), pass 2 runs the rules
+//! against it. The trade-offs of the lossy scan are documented in
+//! DESIGN.md §9/§14.
 
 pub mod index;
 pub mod rules;
 pub mod scan;
 
-use dcn_guard::{Budget, BudgetError};
-use index::WorkspaceIndex;
-use rules::{Diagnostic, Severity};
+use rules::Diagnostic;
 use scan::SourceFile;
 use std::path::{Path, PathBuf};
 
@@ -39,15 +37,6 @@ pub struct Report {
     pub allows_honored: usize,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-}
-
-impl Report {
-    /// True when any error-severity diagnostic survived.
-    pub fn has_errors(&self) -> bool {
-        self.diagnostics
-            .iter()
-            .any(|d| d.severity == Severity::Error)
-    }
 }
 
 /// Directory names never descended into: build output, vendored deps,
@@ -78,74 +67,20 @@ fn collect_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// The pool fan-outs run under an unlimited budget (linting is bounded
-/// by the file set), so a `BudgetError` surfacing is a program bug, not
-/// an environmental condition — map it to an opaque io::Error rather
-/// than panicking.
-fn budget_io(e: BudgetError) -> std::io::Error {
-    std::io::Error::other(format!("lint pool budget: {e}"))
-}
-
-/// Errors inside the parallel scan stage: file I/O or (nominally) budget.
-enum ScanError {
-    Io(std::io::Error),
-    Budget(BudgetError),
-}
-
-impl From<BudgetError> for ScanError {
-    fn from(e: BudgetError) -> Self {
-        ScanError::Budget(e)
-    }
-}
-
-/// Reads and scans every source under `root`, in parallel, results in
-/// path order.
-fn scan_sources(
-    root: &Path,
-    pool: &dcn_exec::Pool,
-    budget: &Budget,
-) -> std::io::Result<Vec<SourceFile>> {
-    let paths = collect_sources(root)?;
-    pool.par_map(budget, &paths, |_, p: &PathBuf| {
-        let raw = std::fs::read_to_string(p).map_err(ScanError::Io)?;
+/// Lints the workspace rooted at `root` and returns the report.
+pub fn lint_root(root: &Path) -> std::io::Result<Report> {
+    let mut files = Vec::new();
+    for p in collect_sources(root)? {
+        let raw = std::fs::read_to_string(&p)?;
         let rel = p
             .strip_prefix(root)
-            .unwrap_or(p)
+            .unwrap_or(&p)
             .to_string_lossy()
             .replace('\\', "/");
-        Ok(SourceFile::new(rel, raw))
-    })
-    .map_err(|e| match e {
-        ScanError::Io(e) => e,
-        ScanError::Budget(e) => budget_io(e),
-    })
-}
-
-/// Lints the workspace rooted at `root` and returns the report.
-///
-/// Pipeline: parallel read+scan (each file parsed exactly once), parallel
-/// pass-1 indexing, parallel per-file rules, then the serial cross-file
-/// rules and allow resolution. Every fan-out merges in input order, so
-/// the report is identical at any worker count.
-pub fn lint_root(root: &Path) -> std::io::Result<Report> {
-    let pool = dcn_exec::Pool::from_env();
-    let budget = Budget::unlimited();
-    let files = scan_sources(root, &pool, &budget)?;
-    let per_file = pool
-        .par_map(&budget, &files, |_, f| {
-            Ok::<_, BudgetError>(index::index_file(f))
-        })
-        .map_err(budget_io)?;
-    let index = WorkspaceIndex::build(&files, per_file);
-    let raw = pool
-        .par_map(&budget, &files, |fi, f| {
-            Ok::<_, BudgetError>(rules::per_file_diags(f, fi, &index))
-        })
-        .map_err(budget_io)?;
-    let mut raw: Vec<Diagnostic> = raw.into_iter().flatten().collect();
+        files.push(SourceFile::new(rel, raw));
+    }
     let readme = std::fs::read_to_string(root.join("README.md")).ok();
-    raw.extend(rules::cross_file_diags(&files, &index, readme.as_deref()));
-    let outcome = rules::finish(&files, raw);
+    let outcome = rules::run_all_with(&files, readme.as_deref());
     Ok(Report {
         diagnostics: outcome.diagnostics,
         allows_honored: outcome.allows_honored,

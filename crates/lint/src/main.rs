@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! CLI entry point:
 //! `cargo run -p dcn-lint -- [--root PATH] [--deny] [--list-rules] [--env-table]`.
 
@@ -11,7 +10,7 @@ fn usage() -> ! {
          \n\
          --root PATH    lint the workspace rooted at PATH (default: discover by\n\
          \x20              walking up from the current directory to a workspace Cargo.toml)\n\
-         --deny         exit non-zero when any error-severity diagnostic survives\n\
+         --deny         exit non-zero when any diagnostic survives\n\
          --list-rules   print the rule table and exit\n\
          --env-table    print the README environment-variable table generated from\n\
          \x20              the dcn_guard::env registry, then exit"
@@ -91,24 +90,15 @@ fn main() -> ExitCode {
         }
     };
     for d in &report.diagnostics {
-        let sev = match d.severity {
-            dcn_lint::rules::Severity::Error => "error",
-            dcn_lint::rules::Severity::Warn => "warn",
-        };
-        println!("{}:{}: {sev}[{}] {}", d.file, d.line, d.rule, d.message);
+        println!("{}:{}: error[{}] {}", d.file, d.line, d.rule, d.message);
     }
-    let errors = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.severity == dcn_lint::rules::Severity::Error)
-        .count();
     println!(
-        "dcn-lint: {} files scanned, {} diagnostics ({errors} errors), {} allows honored",
+        "dcn-lint: {} files scanned, {} diagnostics, {} allows honored",
         report.files_scanned,
         report.diagnostics.len(),
         report.allows_honored
     );
-    if deny && report.has_errors() {
+    if deny && !report.diagnostics.is_empty() {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

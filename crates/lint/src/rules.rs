@@ -1,14 +1,19 @@
-//! The rule engine: eleven workspace invariants plus the allow-annotation
-//! escape hatch (thirteen rule ids in all).
+//! The rule engine: seven domain invariants plus the allow-annotation
+//! escape hatch (nine rule ids in all).
 //!
-//! Since dcn-lint v2 the engine is **two-pass** (DESIGN.md §14). Pass 1
-//! builds a [`WorkspaceIndex`](crate::index::WorkspaceIndex) over the
-//! lossy per-file scan: `fn` bodies, identifiers declared with
+//! The generic invariants (panic-freedom, doc coverage, no `unsafe`, and
+//! the clock/thread/process/raw-env bans) are rustc and clippy lints,
+//! configured by `[workspace.lints]` in the root `Cargo.toml`, the
+//! panic-free crate roots and `clippy.toml`. What remains here needs
+//! workspace knowledge no native lint has: float tolerances, budgets on
+//! solver loops, the metric and env registries, and the lock discipline.
+//!
+//! The engine is **two-pass** (DESIGN.md §14). Pass 1 builds a
+//! [`WorkspaceIndex`](crate::index::WorkspaceIndex) over the lossy
+//! per-file scan: `fn` bodies, identifiers declared with
 //! `Mutex`/`RwLock`/`Atomic*` types, and the `dcn_guard::env` registry.
-//! Pass 2 runs the rules against that index, split into
-//! [`per_file_diags`] (pure per file, fanned out by the driver over a
-//! `dcn_exec::Pool` and merged in input order) and [`cross_file_diags`]
-//! (registry liveness checks that need the whole file set; run serially).
+//! Pass 2 runs the per-file rules against that index, then the registry
+//! rules, which need the whole file set.
 //!
 //! Every rule emits [`Diagnostic`]s anchored to `file:line`. A diagnostic
 //! can be suppressed by an inline annotation on the same line or the line
@@ -27,23 +32,11 @@
 use crate::index::{self, FileIndex, WorkspaceIndex};
 use crate::scan::{match_brace, word_occurrences, SourceFile};
 
-/// Diagnostic severity. Every built-in rule is `Error`; `Warn` exists so
-/// downstream forks can soft-launch a new rule before enforcing it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Fails the run under `--deny`.
-    Error,
-    /// Reported but never fails the run.
-    Warn,
-}
-
 /// One finding, anchored to a file and 1-based line.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule identifier (e.g. `panic-freedom`).
+    /// Rule identifier (e.g. `float-eq`).
     pub rule: &'static str,
-    /// Severity (see [`Severity`]).
-    pub severity: Severity,
     /// Path relative to the lint root.
     pub file: String,
     /// 1-based line number.
@@ -56,8 +49,6 @@ pub struct Diagnostic {
 pub struct RuleInfo {
     /// Rule identifier.
     pub id: &'static str,
-    /// Default severity.
-    pub severity: Severity,
     /// One-line description.
     pub summary: &'static str,
 }
@@ -65,80 +56,50 @@ pub struct RuleInfo {
 /// The built-in rule set.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        id: "panic-freedom",
-        severity: Severity::Error,
-        summary: "no unwrap/expect/panic!/unreachable!/todo!/unimplemented! in solver/obs/trace library code",
-    },
-    RuleInfo {
         id: "float-eq",
-        severity: Severity::Error,
         summary: "no ==/!= against float literals in solver code; use dcn_guard::tol helpers",
     },
     RuleInfo {
         id: "budget-coverage",
-        severity: Severity::Error,
         summary: "pub fns with loop/while in solver crates take a &Budget or &SolveCtx parameter; \
                   no legacy (cache, budget) twin tails",
     },
     RuleInfo {
         id: "metric-registry",
-        severity: Severity::Error,
         summary: "metric/span names come from dcn_obs::names constants; constants must be used",
     },
     RuleInfo {
-        id: "nondeterminism",
-        severity: Severity::Error,
-        summary: "clocks only in guard/obs/exec/trace; threads only in exec; no process spawns \
-                  in library code; no unseeded RNG outside tests",
-    },
-    RuleInfo {
-        id: "unsafe-forbid",
-        severity: Severity::Error,
-        summary: "every crate root carries #![forbid(unsafe_code)]",
-    },
-    RuleInfo {
-        id: "doc-coverage",
-        severity: Severity::Error,
-        summary: "crate roots carry //! docs; pub fn/struct/enum in library code carry /// docs",
-    },
-    RuleInfo {
         id: "lock-order",
-        severity: Severity::Error,
         summary: "nested guard acquisitions follow the declared order \
                   REGISTRY → SPANS → drained → shards (shard self-nesting only in cache)",
     },
     RuleInfo {
         id: "blocking-under-lock",
-        severity: Severity::Error,
         summary: "no file I/O, process spawns, sleeps, or channel recv while a lock guard \
                   is live in obs/trace/cache/exec",
     },
     RuleInfo {
         id: "atomic-ordering",
-        severity: Severity::Error,
         summary: "every atomic load/store/swap/fetch_*/compare_exchange names a literal \
                   Ordering; SeqCst outside exec needs a justified allow",
     },
     RuleInfo {
         id: "env-registry",
-        severity: Severity::Error,
-        summary: "env reads go through dcn_guard::env constants; registered vars must be \
+        summary: "DCN_* literals are registered in dcn_guard::env; registered vars must be \
                   DCN_-named, unique, live, and mirrored in the README table",
     },
     RuleInfo {
         id: "allow-justification",
-        severity: Severity::Error,
         summary: "every dcn-lint allow annotation carries a written justification",
     },
     RuleInfo {
         id: "unused-allow",
-        severity: Severity::Error,
         summary: "allow annotations that suppress nothing must be removed",
     },
 ];
 
-/// Crates whose library code must be panic-free, tolerance-disciplined,
-/// and budget-covered (the solver crates of the TUB pipeline).
+/// Crates whose library code must be tolerance-disciplined and
+/// budget-covered (the solver crates of the TUB pipeline).
 pub const SOLVER_CRATES: &[&str] = &[
     "lp",
     "mcf",
@@ -149,23 +110,6 @@ pub const SOLVER_CRATES: &[&str] = &[
     "estimators",
 ];
 
-/// Crates additionally held to panic-freedom beyond the solver set:
-/// observability code runs inside every solver call path (span guards,
-/// trace sinks) and must never be the thing that aborts a run — a
-/// poisoned metrics mutex, for example, must recover, not cascade.
-pub const PANIC_FREE_EXTRA_CRATES: &[&str] = &["obs", "trace"];
-
-/// Crates allowed to read wall clocks: `guard` (deadlines) and `obs`
-/// (span timing) exist to encapsulate time, `exec` re-checks budget
-/// deadlines between pool tasks, and `trace` timestamps trace events
-/// against its process-wide monotonic origin.
-pub const CLOCK_CRATES: &[&str] = &["guard", "obs", "exec", "trace"];
-
-/// The one crate allowed to spawn OS threads. Every other crate reaches
-/// parallelism through [`dcn_exec`]'s deterministic pool, so fan-out
-/// cannot silently reorder merges or leak thread-count dependence.
-pub const THREAD_CRATES: &[&str] = &["exec"];
-
 /// The workspace's declared global lock-acquisition order, outermost
 /// first: the obs metric registry, then the obs span table, then the
 /// trace drain buffer, then a cache shard (DESIGN.md §14). A nested
@@ -175,8 +119,8 @@ pub const LOCK_ORDER: &[&str] = &["REGISTRY", "SPANS", "drained", "shards"];
 
 /// Crates scanned by the guard-region rules (`lock-order` and
 /// `blocking-under-lock`): the concurrent service crates that own or
-/// drive the ordered locks. Solver crates hold no locks at all (the
-/// nondeterminism rule already keeps threads out of them).
+/// drive the ordered locks. Solver crates hold no locks at all (clippy's
+/// `disallowed-methods` already keeps threads out of them).
 pub const LOCK_CRATES: &[&str] = &["obs", "trace", "cache", "exec"];
 
 /// Crates allowed to use `Ordering::SeqCst`: only the fan-out engine,
@@ -194,7 +138,7 @@ const ANNOTATION: &str = "dcn-lint: allow(";
 
 /// A parsed `// dcn-lint: allow(rule, …) — justification` annotation.
 #[derive(Debug)]
-pub struct Allow {
+struct Allow {
     file_idx: usize,
     line: usize,
     rules: Vec<String>,
@@ -209,7 +153,7 @@ pub struct Allow {
 /// and (b) names at least one known rule id. Both filters exist so the
 /// linter can lint its own sources: doc-comment examples use placeholder
 /// rule names and test corpora embed annotations in string literals.
-pub fn collect_allows(files: &[SourceFile]) -> Vec<Allow> {
+fn collect_allows(files: &[SourceFile]) -> Vec<Allow> {
     let mut allows = Vec::new();
     for (fi, f) in files.iter().enumerate() {
         let mut from = 0;
@@ -260,16 +204,9 @@ pub struct Outcome {
     pub allows_honored: usize,
 }
 
-/// Runs every rule serially, applies allow annotations, and appends the
-/// annotation-hygiene diagnostics. Convenience entry point for tests and
-/// embedders; the CLI driver ([`crate::lint_root`]) instead builds the
-/// index once, fans [`per_file_diags`] out over a pool, and passes the
-/// README through for the drift check.
-pub fn run_all(files: &[SourceFile]) -> Outcome {
-    run_all_with(files, None)
-}
-
-/// [`run_all`] with an optional README text for the env-table drift check.
+/// Runs every rule over a scanned file set, applies allow annotations,
+/// and appends the annotation-hygiene diagnostics. `readme` is the
+/// README text for the env-table drift check (`None` skips it).
 pub fn run_all_with(files: &[SourceFile], readme: Option<&str>) -> Outcome {
     let index = WorkspaceIndex::build(files, files.iter().map(index::index_file).collect());
     let mut raw = Vec::new();
@@ -281,18 +218,11 @@ pub fn run_all_with(files: &[SourceFile], readme: Option<&str>) -> Outcome {
 }
 
 /// Pass 2, per-file portion: every rule whose verdict depends only on one
-/// file plus the read-only pass-1 index. A pure function of its inputs,
-/// so the driver can evaluate files concurrently and concatenate the
-/// results in input order without changing the report.
-pub fn per_file_diags(f: &SourceFile, fi: usize, index: &WorkspaceIndex) -> Vec<Diagnostic> {
-    let one = std::slice::from_ref(f);
+/// file plus the read-only pass-1 index.
+fn per_file_diags(f: &SourceFile, fi: usize, index: &WorkspaceIndex) -> Vec<Diagnostic> {
     let mut d = Vec::new();
-    panic_freedom(one, &mut d);
-    float_eq(one, &mut d);
+    float_eq(std::slice::from_ref(f), &mut d);
     budget_coverage_file(f, &index.files[fi], &mut d);
-    nondeterminism(one, &mut d);
-    unsafe_forbid(one, &mut d);
-    doc_coverage(one, &mut d);
     lock_order(f, index, &mut d);
     blocking_under_lock(f, index, &mut d);
     atomic_ordering(f, index, &mut d);
@@ -302,7 +232,7 @@ pub fn per_file_diags(f: &SourceFile, fi: usize, index: &WorkspaceIndex) -> Vec<
 /// Pass 2, cross-file portion: the registry rules, which relate
 /// definition sites to every use site in the tree (both directions) and
 /// so cannot be evaluated one file at a time.
-pub fn cross_file_diags(
+fn cross_file_diags(
     files: &[SourceFile],
     index: &WorkspaceIndex,
     readme: Option<&str>,
@@ -316,7 +246,7 @@ pub fn cross_file_diags(
 /// Applies allow annotations to the raw findings, appends the
 /// annotation-hygiene diagnostics, and sorts/dedups into the final
 /// report order.
-pub fn finish(files: &[SourceFile], raw_diags: Vec<Diagnostic>) -> Outcome {
+fn finish(files: &[SourceFile], raw_diags: Vec<Diagnostic>) -> Outcome {
     let allows = collect_allows(files);
     let file_index = |rel: &str| files.iter().position(|f| f.rel == rel);
     let mut diagnostics = Vec::new();
@@ -345,7 +275,6 @@ pub fn finish(files: &[SourceFile], raw_diags: Vec<Diagnostic>) -> Outcome {
                 a.used.set(true);
                 diagnostics.push(Diagnostic {
                     rule: "allow-justification",
-                    severity: Severity::Error,
                     file: d.file.clone(),
                     line: a.line,
                     message: format!(
@@ -362,7 +291,6 @@ pub fn finish(files: &[SourceFile], raw_diags: Vec<Diagnostic>) -> Outcome {
         if !a.used.get() {
             diagnostics.push(Diagnostic {
                 rule: "unused-allow",
-                severity: Severity::Error,
                 file: files[a.file_idx].rel.clone(),
                 line: a.line,
                 message: format!(
@@ -385,80 +313,20 @@ pub fn finish(files: &[SourceFile], raw_diags: Vec<Diagnostic>) -> Outcome {
 fn push(diags: &mut Vec<Diagnostic>, rule: &'static str, f: &SourceFile, off: usize, msg: String) {
     diags.push(Diagnostic {
         rule,
-        severity: Severity::Error,
         file: f.rel.clone(),
         line: f.line_of(off),
         message: msg,
     });
 }
 
-/// True when this file is library code of a solver crate (rules 1–3 scope).
+/// True when this file is library code of a solver crate (the scope of
+/// float-eq and budget-coverage).
 fn solver_library(f: &SourceFile) -> bool {
     f.krate
         .as_deref()
         .is_some_and(|k| SOLVER_CRATES.contains(&k))
         && !f.is_test_code
         && !f.is_bin
-}
-
-/// True when this file is in panic-freedom scope: solver library code
-/// plus the [`PANIC_FREE_EXTRA_CRATES`] observability crates.
-fn panic_free_library(f: &SourceFile) -> bool {
-    solver_library(f)
-        || (f.krate
-            .as_deref()
-            .is_some_and(|k| PANIC_FREE_EXTRA_CRATES.contains(&k))
-            && !f.is_test_code
-            && !f.is_bin)
-}
-
-// ---------------------------------------------------------------------------
-// Rule: panic-freedom
-
-fn panic_freedom(files: &[SourceFile], diags: &mut Vec<Diagnostic>) {
-    // (needle, must be followed by, description)
-    const METHODS: &[(&str, &str)] = &[(".unwrap", "()"), (".expect", "(")];
-    const MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-    for f in files.iter().filter(|f| panic_free_library(f)) {
-        for &(m, follow) in METHODS {
-            let mut from = 0;
-            while let Some(p) = f.masked[from..].find(m) {
-                let at = from + p;
-                from = at + m.len();
-                if !f.masked[from..].starts_with(follow) || f.in_test_region(at) {
-                    continue;
-                }
-                push(
-                    diags,
-                    "panic-freedom",
-                    f,
-                    at,
-                    format!(
-                        "`{m}{follow}…` in panic-free library code (solver crates + \
-                         obs/trace); return a typed error (see dcn-guard), recover \
-                         (e.g. Mutex poison via into_inner), or annotate with a \
-                         justified allow"
-                    ),
-                );
-            }
-        }
-        for &m in MACROS {
-            for at in word_occurrences(&f.masked, m) {
-                if !f.masked[at + m.len()..].starts_with('!') || f.in_test_region(at) {
-                    continue;
-                }
-                push(
-                    diags,
-                    "panic-freedom",
-                    f,
-                    at,
-                    format!(
-                        "`{m}!` in panic-free library code; propagate a Result instead"
-                    ),
-                );
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -767,251 +635,6 @@ fn metric_registry(files: &[SourceFile], diags: &mut Vec<Diagnostic>) {
                      at any call site"
                 ),
             );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: nondeterminism
-
-fn nondeterminism(files: &[SourceFile], diags: &mut Vec<Diagnostic>) {
-    const CLOCKS: &[&str] = &["Instant::now", "SystemTime::now"];
-    const RNGS: &[&str] = &["thread_rng", "from_entropy"];
-    for f in files.iter().filter(|f| {
-        f.krate
-            .as_deref()
-            .is_some_and(|k| !CLOCK_CRATES.contains(&k))
-            && !f.is_test_code
-    }) {
-        for &pat in CLOCKS {
-            let mut from = 0;
-            while let Some(p) = f.masked[from..].find(pat) {
-                let at = from + p;
-                from = at + pat.len();
-                if f.in_test_region(at) {
-                    continue;
-                }
-                push(
-                    diags,
-                    "nondeterminism",
-                    f,
-                    at,
-                    format!(
-                        "`{pat}` outside dcn-guard/dcn-obs/dcn-exec; wall-clock reads \
-                         belong in the guard (budgets), obs (spans), or exec (pool \
-                         deadline re-checks) so manifests stay reproducible"
-                    ),
-                );
-            }
-        }
-        for &pat in RNGS {
-            for at in word_occurrences(&f.masked, pat) {
-                if f.in_test_region(at) {
-                    continue;
-                }
-                push(
-                    diags,
-                    "nondeterminism",
-                    f,
-                    at,
-                    format!(
-                        "`{pat}` constructs an unseeded RNG; use SeedableRng::seed_from_u64 \
-                         with a recorded seed (manifests must reproduce runs)"
-                    ),
-                );
-            }
-        }
-    }
-    // Thread spawning is scanned over *all* non-exec crates (including the
-    // clock crates): every fan-out must go through dcn-exec's deterministic
-    // pool, never ad-hoc `std::thread` use.
-    const THREADS: &[&str] = &["thread::spawn", "thread::scope", "thread::Builder"];
-    for f in files.iter().filter(|f| {
-        f.krate
-            .as_deref()
-            .is_some_and(|k| !THREAD_CRATES.contains(&k))
-            && !f.is_test_code
-    }) {
-        for &pat in THREADS {
-            let mut from = 0;
-            while let Some(p) = f.masked[from..].find(pat) {
-                let at = from + p;
-                from = at + pat.len();
-                if f.in_test_region(at) {
-                    continue;
-                }
-                push(
-                    diags,
-                    "nondeterminism",
-                    f,
-                    at,
-                    format!(
-                        "`{pat}` outside dcn-exec; spawn parallelism through the \
-                         dcn_exec::Pool so merges stay input-ordered and results are \
-                         thread-count-independent"
-                    ),
-                );
-            }
-        }
-    }
-    // Process spawning is banned in every crate: all parallelism is
-    // in-process through dcn-exec, whose ordered merge is what keeps
-    // results thread-count-independent.
-    const PROCS: &[&str] = &["Command::new"];
-    for f in files
-        .iter()
-        .filter(|f| f.krate.is_some() && !f.is_test_code)
-    {
-        for &pat in PROCS {
-            let mut from = 0;
-            while let Some(p) = f.masked[from..].find(pat) {
-                let at = from + p;
-                from = at + pat.len();
-                if f.in_test_region(at) {
-                    continue;
-                }
-                push(
-                    diags,
-                    "nondeterminism",
-                    f,
-                    at,
-                    format!(
-                        "`{pat}` spawns a process; fan out through the dcn_exec::Pool \
-                         instead, so merges stay input-ordered and results are \
-                         thread-count-independent"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: unsafe-forbid
-
-fn unsafe_forbid(files: &[SourceFile], diags: &mut Vec<Diagnostic>) {
-    for f in files {
-        let is_crate_root = f.rel == "src/lib.rs"
-            || (f.rel.starts_with("crates/")
-                && f.rel.ends_with("/src/lib.rs")
-                && f.rel.matches('/').count() == 3);
-        if !is_crate_root {
-            continue;
-        }
-        if !f.masked.contains("#![forbid(unsafe_code)]") {
-            diags.push(Diagnostic {
-                rule: "unsafe-forbid",
-                severity: Severity::Error,
-                file: f.rel.clone(),
-                line: 1,
-                message: "crate root lacks `#![forbid(unsafe_code)]` (the workspace is \
-                          unsafe-free; lock it in)"
-                    .into(),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: doc-coverage
-
-/// True when `f.rel` is a crate root (`src/lib.rs` of the umbrella crate
-/// or of any workspace member).
-fn is_crate_root(rel: &str) -> bool {
-    rel == "src/lib.rs"
-        || (rel.starts_with("crates/")
-            && rel.ends_with("/src/lib.rs")
-            && rel.matches('/').count() == 3)
-}
-
-/// True when the item whose `pub` keyword sits at raw offset `at` carries
-/// a doc comment. Doc comments are masked out by the scanner, so this
-/// walks the *raw* lines above the item, skipping over attributes
-/// (`#[…]`, including a bare `)]` continuation tail) and plain `//`
-/// comments such as `dcn-lint: allow(…)` annotations, which
-/// conventionally sit between the doc and the item.
-fn documented(f: &SourceFile, at: usize) -> bool {
-    let mut line = f.line_of(at);
-    // An item not at the start of its line (e.g. emitted by a macro
-    // invocation) is out of scope for a token-level scanner: accept it.
-    let col = at - f.line_starts[line - 1];
-    if !f.raw_line(line)[..col].trim().is_empty() {
-        return true;
-    }
-    let mut in_attr = false;
-    while line > 1 {
-        line -= 1;
-        let t = f.raw_line(line).trim();
-        if in_attr {
-            // Consuming the interior of a multi-line `#[…(\n … \n)]`
-            // attribute bottom-up; its opening line ends the stretch.
-            if t.starts_with("#[") {
-                in_attr = false;
-            }
-            continue;
-        }
-        if t.starts_with("///") || t.starts_with("#[doc") || t.starts_with("#![doc") {
-            return true;
-        }
-        // Attributes and ordinary line comments may sit between the doc
-        // comment and the item.
-        if t.starts_with("#[") || t.starts_with("//") {
-            continue;
-        }
-        if t == ")]" || t == "]" {
-            in_attr = true;
-            continue;
-        }
-        return false;
-    }
-    false
-}
-
-fn doc_coverage(files: &[SourceFile], diags: &mut Vec<Diagnostic>) {
-    for f in files
-        .iter()
-        .filter(|f| f.krate.is_some() && !f.is_test_code && !f.is_bin)
-    {
-        if is_crate_root(&f.rel) && !f.raw.lines().any(|l| l.trim_start().starts_with("//!")) {
-            diags.push(Diagnostic {
-                rule: "doc-coverage",
-                severity: Severity::Error,
-                file: f.rel.clone(),
-                line: 1,
-                message: "crate root lacks `//!` module docs; state the crate's role, its \
-                          paper anchor, and its determinism/budget contract"
-                    .into(),
-            });
-        }
-        for at in word_occurrences(&f.masked, "pub") {
-            if f.in_test_region(at) {
-                continue;
-            }
-            let rest = f.masked[at + 3..].trim_start();
-            let Some(item) = ["fn", "struct", "enum"]
-                .iter()
-                .find(|k| rest.starts_with(&format!("{k} ")))
-            else {
-                continue;
-            };
-            let name: String = rest[item.len()..]
-                .trim_start()
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            if !documented(f, at) {
-                push(
-                    diags,
-                    "doc-coverage",
-                    f,
-                    at,
-                    format!(
-                        "`pub {item} {name}` has no `///` doc comment; every public item \
-                         in library code documents its contract (rustdoc is the API \
-                         reference — see DESIGN.md §11)"
-                    ),
-                );
-            }
         }
     }
 }
@@ -1374,16 +997,14 @@ fn env_registry(
     diags: &mut Vec<Diagnostic>,
 ) {
     let env_rel = index::ENV_REGISTRY_REL;
-    // No registry in this tree (e.g. a fixture without one): raw reads
-    // have no constants to use, so skip quietly — same gating as the
-    // metric registry.
+    // No registry in this tree (e.g. a fixture without one): nothing to
+    // check against, so skip quietly — same gating as the metric registry.
     if !files.iter().any(|f| f.rel == env_rel) {
         return;
     }
     let entries = &index.env_entries;
     let entry_diag = |line: usize, message: String| Diagnostic {
         rule: "env-registry",
-        severity: Severity::Error,
         file: env_rel.to_string(),
         line,
         message,
@@ -1411,35 +1032,16 @@ fn env_registry(
             ));
         }
     }
-    // Use sites: no raw env reads, no unregistered DCN_* names, and every
-    // entry referenced somewhere outside the registry.
+    // Use sites: no unregistered DCN_* names, and every entry referenced
+    // somewhere outside the registry. (Raw `std::env::var` reads are
+    // clippy's `disallowed-methods`.)
     let names: std::collections::BTreeSet<&str> =
         entries.iter().map(|e| e.name.as_str()).collect();
     let mut used: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-    const RAW_READ: &str = "env::var";
     for f in files
         .iter()
         .filter(|f| f.krate.is_some() && !f.is_test_code && f.rel != env_rel)
     {
-        let mut from = 0;
-        while let Some(p) = f.masked[from..].find(RAW_READ) {
-            let at = from + p;
-            from = at + RAW_READ.len();
-            let after = &f.masked[at + RAW_READ.len()..];
-            if !(after.starts_with('(') || after.starts_with("_os(")) || f.in_test_region(at) {
-                continue;
-            }
-            push(
-                diags,
-                "env-registry",
-                f,
-                at,
-                "raw `std::env::var` read; route it through a `dcn_guard::env` constant \
-                 (e.g. `env::CACHE_DIR.get()`) so the knob is named once, documented in \
-                 the README table, and checked for liveness"
-                    .to_string(),
-            );
-        }
         for s in &f.strings {
             if f.in_test_region(s.start)
                 || !env_name_ok(&s.value)
@@ -1485,7 +1087,6 @@ fn env_registry(
     if let Some(readme) = readme {
         let readme_diag = |line: usize, message: String| Diagnostic {
             rule: "env-registry",
-            severity: Severity::Error,
             file: "README.md".to_string(),
             line,
             message,
@@ -1549,38 +1150,6 @@ mod tests {
     }
 
     #[test]
-    fn panic_freedom_flags_and_exempts() {
-        let f = file(
-            "crates/lp/src/x.rs",
-            "fn a() { x.unwrap(); }\n#[cfg(test)]\nmod t { fn b() { y.unwrap(); } }\n",
-        );
-        let mut d = Vec::new();
-        panic_freedom(&[f], &mut d);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].line, 1);
-    }
-
-    #[test]
-    fn panic_freedom_extends_to_obs_and_trace() {
-        // Observability code runs inside every solver call path; it is
-        // held panic-free even though obs/trace are not solver crates.
-        let obs = file(
-            "crates/obs/src/x.rs",
-            "fn a() { m.lock().expect(\"poisoned\"); }\n",
-        );
-        let trace = file("crates/trace/src/x.rs", "fn a() { x.unwrap(); }\n");
-        let bench = file("crates/bench/src/x.rs", "fn a() { x.unwrap(); }\n");
-        let mut d = Vec::new();
-        panic_freedom(&[obs, trace, bench], &mut d);
-        let files: Vec<&str> = d.iter().map(|x| x.file.as_str()).collect();
-        assert_eq!(
-            files,
-            ["crates/obs/src/x.rs", "crates/trace/src/x.rs"],
-            "{d:?}"
-        );
-    }
-
-    #[test]
     fn metric_registry_checks_trace_instant_call_sites() {
         let names = file(
             "crates/obs/src/names.rs",
@@ -1605,14 +1174,6 @@ mod tests {
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].file, "crates/cache/src/b.rs");
         assert!(d[0].message.contains("raw string"));
-    }
-
-    #[test]
-    fn unwrap_or_is_not_unwrap() {
-        let f = file("crates/lp/src/x.rs", "fn a() { x.unwrap_or(0); y.expect_err(\"e\"); }\n");
-        let mut d = Vec::new();
-        panic_freedom(&[f], &mut d);
-        assert!(d.is_empty());
     }
 
     #[test]
@@ -1645,149 +1206,23 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_forbid_checks_roots_only() {
-        let bad = file("crates/lp/src/lib.rs", "pub fn x() {}\n");
-        let good = file("crates/mcf/src/lib.rs", "#![forbid(unsafe_code)]\npub fn x() {}\n");
-        let other = file("crates/lp/src/simplex.rs", "pub fn x() {}\n");
-        let mut d = Vec::new();
-        unsafe_forbid(&[bad, good, other], &mut d);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].file, "crates/lp/src/lib.rs");
-    }
-
-    #[test]
     fn allow_requires_justification() {
-        let src = "fn a() { x.unwrap() } // dcn-lint: allow(panic-freedom)\n\
-                   fn b() { y.unwrap() } // dcn-lint: allow(panic-freedom) — infallible by Vec len check\n";
+        let src = "fn a(v: f64) -> bool { v == 0.0 } // dcn-lint: allow(float-eq)\n\
+                   fn b(v: f64) -> bool { v == 1.0 } // dcn-lint: allow(float-eq) — exact sentinel by construction\n";
         let f = file("crates/lp/src/x.rs", src);
-        let out = run_all(&[f]);
+        let out = run_all_with(&[f], None);
         let rules: Vec<&str> = out.diagnostics.iter().map(|d| d.rule).collect();
         assert!(rules.contains(&"allow-justification"), "{rules:?}");
-        assert!(rules.contains(&"panic-freedom"));
+        assert!(rules.contains(&"float-eq"));
         assert_eq!(out.allows_honored, 1);
     }
 
     #[test]
     fn unused_allow_is_reported() {
-        let src = "// dcn-lint: allow(panic-freedom) — no longer needed here\nfn a() {}\n";
+        let src = "// dcn-lint: allow(float-eq) — no longer needed here\nfn a() {}\n";
         let f = file("crates/lp/src/x.rs", src);
-        let out = run_all(&[f]);
+        let out = run_all_with(&[f], None);
         assert_eq!(out.diagnostics.len(), 1);
         assert_eq!(out.diagnostics[0].rule, "unused-allow");
-    }
-
-    #[test]
-    fn doc_coverage_flags_undocumented_pub_items() {
-        let src = "//! Module docs.\n\
-                   /// Documented.\n\
-                   pub fn ok() {}\n\
-                   pub fn bare() {}\n\
-                   pub struct Naked;\n\
-                   pub(crate) fn internal() {}\n\
-                   fn private() {}\n";
-        let f = file("crates/core/src/x.rs", src);
-        let mut d = Vec::new();
-        doc_coverage(&[f], &mut d);
-        let lines: Vec<usize> = d.iter().map(|x| x.line).collect();
-        assert_eq!(lines, [4, 5], "{d:?}");
-    }
-
-    #[test]
-    fn doc_coverage_walks_back_over_attributes_and_comments() {
-        // Doc comments legitimately sit above attributes and above inline
-        // `// dcn-lint: allow(...)` annotations; neither hides the doc.
-        let src = "//! Docs.\n\
-                   /// Documented through an attribute stack.\n\
-                   #[derive(\n\
-                       Debug,\n\
-                   )]\n\
-                   #[inline]\n\
-                   // dcn-lint: allow(budget-coverage) — bounded by the radix\n\
-                   pub fn layered() {}\n";
-        let f = file("crates/mcf/src/x.rs", src);
-        let mut d = Vec::new();
-        doc_coverage(&[f], &mut d);
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn doc_coverage_requires_crate_root_module_docs() {
-        let bare = file("crates/lp/src/lib.rs", "#![forbid(unsafe_code)]\n");
-        let documented = file(
-            "crates/mcf/src/lib.rs",
-            "#![forbid(unsafe_code)]\n//! The MCF crate.\n",
-        );
-        let submodule = file("crates/lp/src/simplex.rs", "fn x() {}\n");
-        let mut d = Vec::new();
-        doc_coverage(&[bare, documented, submodule], &mut d);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].file, "crates/lp/src/lib.rs");
-        assert_eq!(d[0].line, 1);
-    }
-
-    #[test]
-    fn doc_coverage_skips_tests_benches_and_bins() {
-        let t = file("crates/core/tests/x.rs", "pub fn bare() {}\n");
-        let b = file("crates/bench/src/bin/fig.rs", "pub fn bare() {}\n");
-        let mut d = Vec::new();
-        doc_coverage(&[t, b], &mut d);
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn nondeterminism_scopes_to_non_clock_crates() {
-        let guard = file("crates/guard/src/x.rs", "fn a() { Instant::now(); }\n");
-        let exec = file("crates/exec/src/x.rs", "fn a() { Instant::now(); }\n");
-        let topo = file("crates/topo/src/x.rs", "fn a() { Instant::now(); }\n");
-        let mut d = Vec::new();
-        nondeterminism(&[guard, exec, topo], &mut d);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].file, "crates/topo/src/x.rs");
-    }
-
-    #[test]
-    fn nondeterminism_flags_threads_outside_exec() {
-        let exec = file(
-            "crates/exec/src/x.rs",
-            "fn a() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n",
-        );
-        // The clock carve-out does not extend to threads: obs may read
-        // clocks but must not spawn.
-        let obs = file("crates/obs/src/x.rs", "fn a() { std::thread::spawn(|| {}); }\n");
-        let core = file("crates/core/src/x.rs", "fn a() { std::thread::scope(|s| {}); }\n");
-        let mut d = Vec::new();
-        nondeterminism(&[exec, obs, core], &mut d);
-        let files: Vec<&str> = d.iter().map(|x| x.file.as_str()).collect();
-        assert_eq!(
-            files,
-            ["crates/obs/src/x.rs", "crates/core/src/x.rs"],
-            "{d:?}"
-        );
-    }
-
-    #[test]
-    fn nondeterminism_flags_process_spawns_in_every_crate() {
-        // No crate is exempt, not even the thread and clock crate.
-        let exec = file(
-            "crates/exec/src/x.rs",
-            "fn a() { std::process::Command::new(\"x\").spawn(); }\n",
-        );
-        let core = file(
-            "crates/core/src/x.rs",
-            "fn a() { std::process::Command::new(\"x\").spawn(); }\n",
-        );
-        let test = file(
-            "crates/core/tests/x.rs",
-            "fn a() { std::process::Command::new(\"x\").spawn(); }\n",
-        );
-        let mut d = Vec::new();
-        nondeterminism(&[exec, core, test], &mut d);
-        let files: Vec<&str> = d.iter().map(|x| x.file.as_str()).collect();
-        assert_eq!(
-            files,
-            ["crates/exec/src/x.rs", "crates/core/src/x.rs"],
-            "{d:?}"
-        );
-        assert!(d[0].message.contains("dcn_exec::Pool"), "{d:?}");
     }
 }

@@ -105,19 +105,6 @@ impl SourceFile {
         let l = self.line_of(off);
         l >= 1 && l <= self.test_lines.len() && self.test_lines[l - 1]
     }
-
-    /// The raw text of a 1-based line (without the newline).
-    pub fn raw_line(&self, line: usize) -> &str {
-        if line == 0 || line > self.line_starts.len() {
-            return "";
-        }
-        let start = self.line_starts[line - 1];
-        let end = self
-            .line_starts
-            .get(line)
-            .map_or(self.raw.len(), |&e| e.saturating_sub(1));
-        self.raw.get(start..end).unwrap_or("")
-    }
 }
 
 fn offset_line(line_starts: &[usize], off: usize) -> usize {

@@ -1,19 +1,22 @@
 //! Integration tests over the seeded fixture corpora.
 //!
-//! `fixtures/violations/` carries exactly one seeded violation per rule
-//! (three for float-eq: the `== 0.0`, `!= 0.0`, and `== 1.0` patterns;
-//! a clock read, an unseeded RNG, an ad-hoc thread spawn, and an ad-hoc
-//! process spawn for nondeterminism; an undocumented `pub struct` for
-//! doc-coverage; an obs-crate `.expect` for the extended panic-freedom
-//! scope and a raw `trace_instant` name for metric-registry; for the v2
-//! workspace-aware rules: an out-of-order nested SPANS→REGISTRY
-//! acquisition for lock-order, an `fs::write` under the `drained` guard
-//! for blocking-under-lock, a non-literal ordering plus a stray SeqCst
-//! for atomic-ordering, and — for env-registry — a raw `env::var` read,
-//! a raw `env::var_os` read of an unregistered `DCN_*` literal, a dead
-//! registry entry, and a misnamed one); `fixtures/clean/` carries the
-//! same shapes, each suppressed by a justified allow. The assertions pin
-//! the exact (rule, file, line) triples and the CLI exit codes.
+//! `fixtures/violations/` carries seeded violations of every domain rule:
+//! three for float-eq (the `== 0.0`, `!= 0.0`, and `== 1.0` patterns)
+//! plus one under an unjustified allow for allow-justification; a raw
+//! `trace_instant` name among the metric-registry cases; an out-of-order
+//! nested SPANS→REGISTRY acquisition for lock-order; an `fs::write`
+//! under the `drained` guard for blocking-under-lock; a non-literal
+//! ordering plus a stray SeqCst for atomic-ordering; an unregistered
+//! `DCN_*` literal, a dead registry entry, and a misnamed one for
+//! env-registry; and a stale allow for unused-allow. `fixtures/clean/`
+//! carries the same shapes, each suppressed by a justified allow. The
+//! assertions pin the exact (rule, file, line) triples and the CLI exit
+//! codes.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the CLI tests run the dcn-lint binary as a child process"
+)]
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -35,33 +38,23 @@ fn violations_tree_yields_exact_diagnostics() {
     let expected: Vec<(&str, &str, usize)> = vec![
         ("atomic-ordering", "crates/cache/src/atomics.rs", 13),
         ("atomic-ordering", "crates/cache/src/atomics.rs", 18),
-        ("env-registry", "crates/cache/src/reads.rs", 6),
-        ("env-registry", "crates/cache/src/reads.rs", 12),
-        ("env-registry", "crates/cache/src/reads.rs", 13),
-        ("doc-coverage", "crates/core/src/docless.rs", 3),
+        ("env-registry", "crates/cache/src/reads.rs", 5),
         ("metric-registry", "crates/core/src/metrics.rs", 6),
         ("metric-registry", "crates/core/src/metrics.rs", 7),
         ("metric-registry", "crates/core/src/metrics.rs", 12),
-        ("nondeterminism", "crates/core/src/procs.rs", 5),
-        ("nondeterminism", "crates/core/src/threads.rs", 5),
         ("budget-coverage", "crates/graph/src/looping.rs", 4),
         ("unused-allow", "crates/graph/src/looping.rs", 12),
         ("budget-coverage", "crates/graph/src/looping.rs", 17),
         ("float-eq", "crates/lp/src/floats.rs", 5),
         ("float-eq", "crates/lp/src/floats.rs", 10),
         ("float-eq", "crates/lp/src/floats.rs", 15),
-        ("unsafe-forbid", "crates/lp/src/lib.rs", 1),
-        ("panic-freedom", "crates/mcf/src/panic.rs", 5),
-        ("allow-justification", "crates/mcf/src/panic.rs", 10),
-        ("panic-freedom", "crates/mcf/src/panic.rs", 11),
+        ("allow-justification", "crates/lp/src/floats.rs", 20),
+        ("float-eq", "crates/lp/src/floats.rs", 21),
         ("env-registry", "crates/obs/src/env.rs", 21),
         ("env-registry", "crates/obs/src/env.rs", 29),
         ("lock-order", "crates/obs/src/locks.rs", 15),
         ("metric-registry", "crates/obs/src/names.rs", 6),
         ("metric-registry", "crates/obs/src/names.rs", 8),
-        ("panic-freedom", "crates/obs/src/poison.rs", 6),
-        ("nondeterminism", "crates/topo/src/clock.rs", 5),
-        ("nondeterminism", "crates/topo/src/clock.rs", 10),
         ("blocking-under-lock", "crates/trace/src/blocking.rs", 13),
     ];
     let expected: Vec<(String, String, usize)> = expected
@@ -80,16 +73,12 @@ fn clean_tree_is_quiet_and_honors_allows() {
         "clean tree produced {:?}",
         report.diagnostics
     );
-    // One justified allow per core rule: unsafe-forbid, float-eq,
-    // panic-freedom, budget-coverage, nondeterminism, metric-registry,
-    // doc-coverage — plus one panic-freedom allow in obs library code,
-    // one metric-registry allow at a `trace_instant` call site, one
-    // nondeterminism allow on a process spawn in library code, and one
-    // each for the v2 rules: lock-order, blocking-under-lock,
-    // atomic-ordering, env-registry.
-    // ...and one budget-coverage allow on a staged legacy twin-tail
+    // One justified allow per domain rule (float-eq, budget-coverage,
+    // metric-registry, env-registry, lock-order, blocking-under-lock,
+    // atomic-ordering), plus a metric-registry allow at a `trace_instant`
+    // call site and a budget-coverage allow on a staged legacy twin-tail
     // signature awaiting its `&SolveCtx` migration.
-    assert_eq!(report.allows_honored, 15);
+    assert_eq!(report.allows_honored, 9);
 }
 
 fn run_cli(args: &[&str]) -> std::process::Output {
@@ -106,7 +95,7 @@ fn deny_exits_nonzero_on_violations() {
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("crates/lp/src/floats.rs:5: error[float-eq]"), "{stdout}");
-    assert!(stdout.contains("crates/mcf/src/panic.rs:5: error[panic-freedom]"), "{stdout}");
+    assert!(stdout.contains("crates/obs/src/locks.rs:15: error[lock-order]"), "{stdout}");
 }
 
 #[test]
@@ -130,9 +119,24 @@ fn list_rules_prints_all_rule_ids() {
     let out = run_cli(&["--list-rules"]);
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for rule in dcn_lint::rules::RULES {
-        assert!(stdout.contains(rule.id), "missing {}", rule.id);
-    }
+    let ids: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(
+        ids,
+        [
+            "float-eq",
+            "budget-coverage",
+            "metric-registry",
+            "lock-order",
+            "blocking-under-lock",
+            "atomic-ordering",
+            "env-registry",
+            "allow-justification",
+            "unused-allow",
+        ]
+    );
 }
 
 #[test]

@@ -1,10 +1,10 @@
-//! Fixture: a raw environment read kept deliberately, silenced by a
-//! justified allow.
+//! Fixture: an unregistered DCN_* literal kept deliberately, silenced by
+//! a justified allow.
 
-/// Fixture: documented raw read audited as registry-bootstrap only.
-pub fn raw_read() -> Option<String> {
-    // dcn-lint: allow(env-registry) — fixture: bootstrap read before registry init
-    std::env::var("DCN_CACHE_DIR").ok()
+/// Fixture: documented name of a variable set only for a child process.
+pub fn child_knob() -> &'static str {
+    // dcn-lint: allow(env-registry) — fixture: set for a child process, never read here
+    "DCN_CHILD_ONLY"
 }
 
 /// Fixture: registry constant referenced so the liveness check holds.

@@ -1,4 +1,3 @@
-// dcn-lint: allow(unsafe-forbid) — fixture: crate root intentionally lacks the attribute
 //! Fixture: every violation below carries a justified allow.
 
 /// Fixture: documented sentinel comparison helper.
@@ -7,14 +6,7 @@ pub fn is_zero(x: f64) -> bool {
     x == 0.0
 }
 
-/// Fixture: documented unwrap wrapper.
-pub fn take(v: Option<u32>) -> u32 {
-    // dcn-lint: allow(panic-freedom) — fixture: caller guarantees Some
-    v.unwrap()
-}
-
-/// Fixture: the doc comment sits above the allow annotation, which the
-/// doc-coverage walk-back must step over.
+/// Fixture: the doc comment sits above the allow annotation.
 // dcn-lint: allow(budget-coverage) — fixture: loop exits on the first iteration
 pub fn spin() -> u32 {
     loop {

@@ -10,7 +10,7 @@ pub struct EnvVar {
     pub doc: &'static str,
 }
 
-/// Fixture: a live, well-formed entry (read from reads.rs).
+/// Fixture: a live, well-formed entry (referenced from reads.rs).
 pub const CACHE_DIR: EnvVar = EnvVar {
     name: "DCN_CACHE_DIR",
     default: "unset",

@@ -1,18 +1,8 @@
-//! Fixture: raw environment reads and an unregistered DCN_* literal.
+//! Fixture: an unregistered DCN_* literal.
 
-/// Fixture: documented raw read bypassing the registry (the variable
-/// itself is registered; the *read* is the violation).
-pub fn raw_read() -> Option<String> {
-    std::env::var("DCN_CACHE_DIR").ok()
-}
-
-/// Fixture: documented read of a variable the registry does not know
-/// (literal on its own line so the two findings pin distinct lines).
-pub fn mystery() -> bool {
-    std::env::var_os(
-        "DCN_MYSTERY_KNOB",
-    )
-    .is_some()
+/// Fixture: documented name of a variable the registry does not know.
+pub fn mystery() -> &'static str {
+    "DCN_MYSTERY_KNOB"
 }
 
 /// Fixture: registry constants referenced from code so the liveness

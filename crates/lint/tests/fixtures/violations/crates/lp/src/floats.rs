@@ -1,4 +1,4 @@
-//! Fixture: the three exact float comparison patterns.
+//! Fixture: the three exact float comparisons, and one under a bare allow.
 
 /// Fixture: documented exact zero test.
 pub fn is_zero(x: f64) -> bool {
@@ -13,4 +13,10 @@ pub fn is_nonzero(x: f64) -> bool {
 /// Fixture: documented exact one test.
 pub fn is_one(x: f64) -> bool {
     x == 1.0
+}
+
+/// Fixture: documented exact zero test with an unjustified allow.
+pub fn is_zero_annotated(x: f64) -> bool {
+    // dcn-lint: allow(float-eq)
+    x == 0.0
 }

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Maximum-weight perfect matching on implicit complete bipartite graphs.
 //!
 //! The paper's throughput upper bound (Equation 1) is minimized by the
@@ -17,7 +16,8 @@
 //!   bound in Equation 1, so this is the scalable fallback.
 //! * [`improve_2swap`] — local-search improvement for the greedy result.
 
-#![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use dcn_guard::{Budget, BudgetError};
 
@@ -489,7 +489,7 @@ pub fn greedy_max(n: usize, w: impl Fn(usize, usize) -> i64) -> Matching {
             continue;
         }
         let mut best: Option<(usize, i64)> = None;
-        #[allow(clippy::needless_range_loop)]
+        #[expect(clippy::needless_range_loop, reason = "v is passed to w(u, v) as well")]
         for v in 0..n {
             if v != u && !matched[v] {
                 let wt = w(u, v);
@@ -626,7 +626,7 @@ mod tests {
             let n = rng.gen_range(2..=16);
             // Symmetric weights (distances).
             let mut mat = vec![vec![0i64; n]; n];
-            #[allow(clippy::needless_range_loop)]
+            #[expect(clippy::needless_range_loop, reason = "i also bounds the column range")]
             for i in 0..n {
                 for j in (i + 1)..n {
                     let d = rng.gen_range(1..10);
@@ -666,7 +666,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let n = 14;
         let mut mat = vec![vec![0i64; n]; n];
-        #[allow(clippy::needless_range_loop)]
+        #[expect(clippy::needless_range_loop, reason = "i also bounds the column range")]
         for i in 0..n {
             for j in 0..n {
                 if i != j {
@@ -705,7 +705,7 @@ mod tests {
             let n = rng.gen_range(2..=12);
             // Symmetric base weights (distances).
             let mut mat = vec![vec![0i64; n]; n];
-            #[allow(clippy::needless_range_loop)]
+            #[expect(clippy::needless_range_loop, reason = "i also bounds the column range")]
             for i in 0..n {
                 for j in (i + 1)..n {
                     let d = rng.gen_range(1..40);

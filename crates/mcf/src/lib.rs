@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Path-based multi-commodity flow (MCF) throughput — the `KSP-MCF`
 //! procedure of the paper (§3.1 and Appendix H).
 //!
@@ -18,7 +17,8 @@
 //! Both backends also report the fraction of routed flow that travels on
 //! shortest paths (Figure 4(a) of the paper).
 
-#![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod delta;
 pub mod exact;

@@ -1,9 +1,9 @@
 //! Error type for topology/traffic model construction.
 //!
 //! Every fallible model operation returns [`ModelError`] instead of
-//! panicking — the workspace-wide panic-freedom rule (enforced by
-//! `dcn-lint`) starts here, at the lowest layer that user parameters can
-//! reach. Variants separate *caller* mistakes (infeasible parameters,
+//! panicking — the workspace-wide panic-freedom invariant (clippy's panic
+//! lints in the solver crate roots) starts here, at the lowest layer that
+//! user parameters can reach. Variants separate *caller* mistakes (infeasible parameters,
 //! mismatched server lists) from *structural* failures bubbled up from
 //! graph construction, so experiment drivers can decide whether to skip
 //! a configuration or abort a sweep.

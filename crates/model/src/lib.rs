@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Switch-level topology and traffic model, following §2 of the paper.
 //!
 //! A [`Topology`] is a switch-level graph plus the number of servers
@@ -16,8 +15,6 @@
 //! workloads used by the paper's evaluation: switch-level permutations
 //! (entries `min(H_u, H_v)`, which reduces to `H` for uni-regular
 //! topologies), random permutations, and all-to-all.
-
-#![warn(missing_docs)]
 
 pub mod error;
 pub mod io;

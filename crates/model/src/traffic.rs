@@ -20,7 +20,6 @@
 
 use crate::{ModelError, Topology};
 use dcn_graph::NodeId;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// One demand entry: `amount` units of traffic from switch `src` to `dst`.
@@ -240,15 +239,6 @@ impl TrafficMatrix {
             .collect();
         demands.sort_by_key(|d| (d.src, d.dst));
         TrafficMatrix::new(topo, demands)
-    }
-
-    /// Random subset shuffle helper exposed for tests and workloads: picks
-    /// `m` distinct switches with servers.
-    pub fn sample_switches<R: Rng>(topo: &Topology, m: usize, rng: &mut R) -> Vec<NodeId> {
-        let mut k = topo.switches_with_servers();
-        k.shuffle(rng);
-        k.truncate(m);
-        k
     }
 }
 

@@ -5,9 +5,10 @@
 //! them, CI jobs set them, and EXPERIMENTS.md measurements are only
 //! reproducible if the knobs they were taken under are identifiable. A
 //! raw `std::env::var("DCN_…")` call site used to be able to invent a
-//! knob (or typo an existing one) silently; now `dcn-lint`'s
-//! `env-registry` rule requires every read to go through one of the
-//! [`EnvVar`] constants below and requires every constant to be read
+//! knob (or typo an existing one) silently. Now clippy's
+//! `disallowed-methods` rejects raw reads outside this module, and
+//! `dcn-lint`'s `env-registry` rule requires every `DCN_*` name to be
+//! one of the [`EnvVar`] constants below and every constant to be read
 //! somewhere — so unknown and dead variables both fail CI, exactly as
 //! metric names are policed by `dcn_obs::names`.
 //!
@@ -37,12 +38,20 @@ pub struct EnvVar {
 
 impl EnvVar {
     /// The variable's value as UTF-8, if set and valid UTF-8.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the registry is the one place that reads the environment"
+    )]
     pub fn get(&self) -> Option<String> {
         std::env::var(self.name).ok()
     }
 
     /// The variable's value as an `OsString`, if set (for paths, which
     /// need not be UTF-8).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the registry is the one place that reads the environment"
+    )]
     pub fn get_os(&self) -> Option<std::ffi::OsString> {
         std::env::var_os(self.name)
     }

@@ -118,8 +118,6 @@ pub const CORE_FRONTIER_CELL: &str = "core.frontier.cell";
 pub const CORE_RESILIENCE_SAMPLE: &str = "core.resilience.sample";
 /// One near-worst candidate TM evaluated as a pool task (span).
 pub const CORE_NEARWORST_CANDIDATE: &str = "core.nearworst.candidate";
-/// One expansion-ensemble curve evaluated as a pool task (span).
-pub const CORE_EXPANSION_CURVE: &str = "core.expansion.curve";
 
 // --- dcn-exec --------------------------------------------------------------
 
@@ -254,7 +252,6 @@ pub const ALL: &[&str] = &[
     CORE_FRONTIER_CELL,
     CORE_RESILIENCE_SAMPLE,
     CORE_NEARWORST_CANDIDATE,
-    CORE_EXPANSION_CURVE,
     EXEC_POOL_RUNS,
     EXEC_POOL_TASKS,
     EXEC_POOL_SHORT_CIRCUITS,

@@ -5,6 +5,11 @@
 //! All tests share one process, so observability is forced on once before
 //! the mode is first read (spans are inert under the default `off`).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the concurrency tests drive the registry from several threads"
+)]
+
 use dcn_obs::manifest::RunManifest;
 use dcn_obs::{counter, gauge, histogram, span};
 use std::sync::OnceLock;

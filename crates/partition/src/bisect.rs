@@ -83,7 +83,10 @@ pub fn bisection(
     // `tries.max(1)` guarantees at least one loop body ran to completion.
     let best = match best {
         Some(b) => b,
-        // dcn-lint: allow(panic-freedom) — tries.max(1) above guarantees at least one completed try populated `best`
+        #[expect(
+            clippy::unreachable,
+            reason = "tries.max(1) above guarantees at least one completed try populated `best`"
+        )]
         None => unreachable!("bisection loop ran zero completed tries"),
     };
     dcn_obs::gauge!(dcn_obs::names::PARTITION_BISECT_BEST_CUT).set(best.cut);

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Graph partitioning for capacity metrics.
 //!
 //! The paper estimates bisection bandwidth with METIS; this crate carries a
@@ -25,7 +24,8 @@
 //! shifted power iteration and the best prefix cut of the sorted vector is
 //! returned ([`spectral::sparsest_cut_sweep`]).
 
-#![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod bisect;
 pub mod coarsen;

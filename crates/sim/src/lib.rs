@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Flow-level datacenter fabric simulator.
 //!
 //! The LP backends in `dcn-mcf` answer "what could an ideal fractional
@@ -19,8 +18,6 @@
 //! The resulting [`Allocation`] reports per-flow rates, link utilization,
 //! the worst-served demand (the flow-level analogue of `θ(T)`), and
 //! Jain's fairness index.
-
-#![warn(missing_docs)]
 
 pub mod allocate;
 pub mod fct;

@@ -82,11 +82,6 @@ impl ClosParams {
         sw
     }
 
-    /// [`Self::pod_switches_of`] with the non-blocking leaf default.
-    pub fn pod_switches(radix: usize, level: usize) -> u64 {
-        ClosParams::full(radix, level.max(2)).pod_switches_of(level)
-    }
-
     /// Core switches, matching the builder's per-spine uplink rounding.
     pub fn n_cores(&self) -> u64 {
         let half = (self.radix / 2) as u64;

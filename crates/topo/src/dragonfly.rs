@@ -92,7 +92,10 @@ mod tests {
                 between[gu.min(gv)][gu.max(gv)] += 1;
             }
         }
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "x indexes the row and bounds the upper-triangle column range"
+        )]
         for x in 0..g {
             for y in (x + 1)..g {
                 assert_eq!(between[x][y], 1, "groups {x},{y}");

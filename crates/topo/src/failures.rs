@@ -148,8 +148,7 @@ pub fn fail_random_switches<R: Rng>(
         if alive.is_empty() {
             continue;
         }
-        let dist = g.bfs_distances(alive[0]);
-        if alive.iter().all(|&u| dist[u as usize] != u16::MAX) {
+        if g.reachable_count(alive[0]) == alive.len() {
             let name = format!("{}-sw{count}", topo.name());
             return Topology::new(g, servers, name);
         }
@@ -193,8 +192,7 @@ pub fn fail_switch_range(
         return Err(ModelError::NoServers);
     }
     let alive: Vec<u32> = (0..n as u32).filter(|u| !dead.contains(u)).collect();
-    let dist = g.bfs_distances(alive[0]);
-    if !alive.iter().all(|&u| dist[u as usize] != u16::MAX) {
+    if g.reachable_count(alive[0]) != alive.len() {
         return Err(ModelError::InfeasibleParams(
             "range failure disconnects the survivors".into(),
         ));

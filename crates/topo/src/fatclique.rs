@@ -41,11 +41,6 @@ impl FatCliqueParams {
         self.s * self.c * self.b
     }
 
-    /// Network degree of a switch before inter-block remainder slack.
-    pub fn base_degree(&self) -> usize {
-        (self.s - 1) + (self.c - 1) + if self.b > 1 { self.g } else { 0 }
-    }
-
     /// Searches for parameters approximating `target_servers` total servers
     /// with `h` servers per switch and the given `radix`. Returns the
     /// feasible parameter set whose server count is closest to the target.
@@ -161,7 +156,10 @@ pub fn fatclique(p: FatCliqueParams) -> Result<Topology, ModelError> {
         let rem = ports_per_block % (b - 1);
         // links[x][y]: number of links between blocks x and y.
         let mut links = vec![vec![0usize; b]; b];
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "x indexes the row and bounds the upper-triangle column range"
+        )]
         for x in 0..b {
             for y in (x + 1)..b {
                 links[x][y] = base;
@@ -193,7 +191,10 @@ pub fn fatclique(p: FatCliqueParams) -> Result<Topology, ModelError> {
         // contract the paper's Equation 18 relies on).
         let per_block = s * c;
         let mut inter_deg = vec![0usize; n];
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "x indexes the row and bounds the upper-triangle column range"
+        )]
         for x in 0..b {
             for y in (x + 1)..b {
                 if links[x][y] > per_block * per_block {

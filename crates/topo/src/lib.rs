@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Topology generators for the two practical datacenter design families the
 //! paper studies, plus the lifecycle operations its evaluation needs.
 //!
@@ -22,8 +21,6 @@
 //!
 //! All generators take explicit RNGs (seeded by callers) and return
 //! validated, connected [`dcn_model::Topology`] values.
-
-#![warn(missing_docs)]
 
 pub mod clos;
 pub mod dragonfly;

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `dcn-trace`: per-event trace export on top of `dcn-obs`.
 //!
 //! `dcn-obs` aggregates spans into per-path totals — enough to see *where*
@@ -41,7 +40,8 @@
 //! past the cap bump the `trace.events.dropped` counter instead of
 //! allocating.
 
-#![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use dcn_obs::json::Json;
 use dcn_obs::{TracePhase, TraceSink};
@@ -102,6 +102,10 @@ thread_local! {
 }
 
 impl ChromeTracer {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "trace events are timestamped against this process-wide monotonic origin"
+    )]
     fn new() -> ChromeTracer {
         let max_events = dcn_obs::env::TRACE_MAX_EVENTS
             .parsed::<u64>()
@@ -123,12 +127,6 @@ impl ChromeTracer {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .append(events);
-    }
-
-    /// Events recorded so far (including not-yet-drained ones on other
-    /// threads); test and diagnostics support.
-    pub fn events_recorded(&self) -> u64 {
-        self.total.load(Ordering::Relaxed).min(self.max_events)
     }
 }
 

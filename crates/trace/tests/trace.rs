@@ -2,6 +2,11 @@
 //! `trace_event` JSON that round-trips through `dcn_obs::json`, with B/E
 //! pairing per thread and thread-scoped instants.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the test records events from a second thread"
+)]
+
 use dcn_obs::json::Json;
 use std::collections::HashMap;
 

@@ -1,6 +1,4 @@
-#![forbid(unsafe_code)]
 //! Umbrella crate re-exporting the entire `dcn` workspace.
-#![warn(missing_docs)]
 
 pub use dcn_cache as cache;
 pub use dcn_core as core;

@@ -6,6 +6,11 @@
 //! test is uniform: hostile input yields a **typed error** (or a sound
 //! degraded result) — never a panic, never a hang, never a silent NaN.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "times cancellation, spawns threads and writers"
+)]
+
 use dcn::graph::ksp::yen;
 use dcn::graph::{Graph, GraphError};
 use dcn::guard::adversarial::{all_cases, hostile_floats, CaseSpec, Xorshift};
