@@ -16,8 +16,8 @@
 //! the plain tables.
 //!
 //! With `DCN_TRACE_FILE=<path>` (or `DCN_OBS=trace`) the harness also
-//! installs the `dcn-trace` per-event recorder at startup and flushes a
-//! Chrome `trace_event` JSON file at manifest time — see DESIGN.md §12.
+//! starts the `dcn_obs::trace` per-event recorder at startup and flushes
+//! a Chrome `trace_event` JSON file at manifest time — see DESIGN.md §12.
 
 use std::fmt::Display;
 use std::fs;
@@ -55,7 +55,7 @@ impl std::error::Error for ResultsDirError {}
 /// environment variable overrides the location (useful for CI and for
 /// keeping scratch runs out of the tree).
 pub fn results_dir() -> Result<PathBuf, ResultsDirError> {
-    let dir = match dcn_guard::env::RESULTS_DIR.get_os() {
+    let dir = match dcn_obs::env::RESULTS_DIR.get_os() {
         Some(d) => PathBuf::from(d),
         None => {
             // CARGO_MANIFEST_DIR = crates/bench; the workspace root is two up.
@@ -85,8 +85,8 @@ fn process_start() -> Instant {
 static PANIC_FLUSH_NAME: OnceLock<std::sync::Mutex<String>> = OnceLock::new();
 
 /// Installs (once per process) a panic hook that flushes the partial run
-/// manifest and any buffered `dcn-trace` events before the process dies,
-/// and records `name` as the run the hook reports under. Without this, a
+/// manifest and any buffered trace events before the process dies, and
+/// records `name` as the run the hook reports under. Without this, a
 /// panicking experiment binary drops its trace on the floor; with it, the
 /// post-mortem lands in `results/<name>.panic.manifest.json` (and
 /// `<name>.panic.trace.json` when tracing is active). The previous hook
@@ -99,49 +99,15 @@ pub fn install_panic_flush(name: &str) {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             prev(info);
-            panic_flush();
+            let name = PANIC_FLUSH_NAME
+                .get()
+                .map(|cell| cell.lock().unwrap_or_else(|p| p.into_inner()).clone())
+                .unwrap_or_default();
+            if !name.is_empty() {
+                write_run_files(&name, ".panic");
+            }
         }));
     });
-}
-
-/// The body of the panic hook. Must never panic itself: every fallible
-/// step degrades to a stderr line or a silent skip.
-fn panic_flush() {
-    let Some(cell) = PANIC_FLUSH_NAME.get() else {
-        return;
-    };
-    let name = cell
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .clone();
-    if name.is_empty() {
-        return;
-    }
-    dcn_cache::publish_hit_rate();
-    let wall = process_start().elapsed().as_secs_f64();
-    let manifest = dcn_obs::manifest::RunManifest::capture(
-        &name,
-        run_seed(),
-        wall,
-        dcn_exec::Pool::from_env().threads(),
-    );
-    let Ok(dir) = results_dir() else {
-        return;
-    };
-    let mpath = dir.join(format!("{name}.panic.manifest.json"));
-    match manifest.write_to(&mpath) {
-        Ok(()) => eprintln!("{name}: panic: partial manifest flushed to {}", mpath.display()),
-        Err(e) => eprintln!("{name}: panic: manifest flush failed: {e}"),
-    }
-    if dcn_trace::active() {
-        let tpath = dir.join(format!("{name}.panic.trace.json"));
-        match dcn_trace::flush_to_file(&tpath) {
-            Ok(n) => {
-                eprintln!("{name}: panic: flushed {n} trace events to {}", tpath.display());
-            }
-            Err(e) => eprintln!("{name}: panic: trace flush failed: {e}"),
-        }
-    }
 }
 
 static RUN_SEED: AtomicU64 = AtomicU64::new(u64::MAX);
@@ -161,10 +127,27 @@ pub fn run_seed() -> Option<u64> {
 }
 
 /// Captures and writes the `results/<name>.manifest.json` sidecar for a
-/// run, and prints the obs summary when observability is on. Called by
-/// [`Table::finish`]; standalone binaries without a table can call it
-/// directly.
+/// run (plus the trace, when tracing is active), and prints the obs
+/// summary when observability is on. Called by [`Table::finish`];
+/// standalone binaries without a table can call it directly.
 pub fn write_manifest(name: &str) {
+    write_run_files(name, "");
+    if dcn_obs::enabled() {
+        eprint!("{}", dcn_obs::summary());
+    }
+}
+
+/// Captures the run manifest and writes it to
+/// `results/<name><suffix>.manifest.json`; when tracing is active, also
+/// flushes the trace, to `DCN_TRACE_FILE` on a normal exit or else to
+/// `results/<name><suffix>.trace.json`. A normal exit passes an empty
+/// suffix and logs only under `DCN_OBS`; the panic hook passes `.panic`
+/// and reports on stderr. Never panics — it runs inside the panic hook —
+/// so every failure degrades to a stderr line. Flushing rewrites the
+/// trace with all events so far, so in a binary with several tables the
+/// last flush wins with the full trace.
+fn write_run_files(name: &str, suffix: &str) {
+    let panicking = !suffix.is_empty();
     // Fold cache hit/miss counters into the `cache.hit_rate` gauge so the
     // manifest's metrics dump records the run's hit rate.
     dcn_cache::publish_hit_rate();
@@ -175,43 +158,37 @@ pub fn write_manifest(name: &str) {
         wall,
         dcn_exec::Pool::from_env().threads(),
     );
-    match results_dir() {
-        Ok(dir) => {
-            let path = dir.join(format!("{name}.manifest.json"));
-            match manifest.write_to(&path) {
-                Ok(()) => dcn_obs::obs_log!("wrote {}", path.display()),
-                Err(e) => eprintln!("manifest write failed for {name}: {e}"),
-            }
+    let dir = match results_dir() {
+        Ok(dir) => Some(dir),
+        Err(e) => {
+            eprintln!("{e}");
+            None
         }
-        Err(e) => eprintln!("{e}"),
+    };
+    if let Some(dir) = &dir {
+        let mpath = dir.join(format!("{name}{suffix}.manifest.json"));
+        match manifest.write_to(&mpath) {
+            Ok(()) if panicking => {
+                eprintln!("{name}: panic: partial manifest flushed to {}", mpath.display());
+            }
+            Ok(()) => dcn_obs::obs_log!("wrote {}", mpath.display()),
+            Err(e) => eprintln!("{name}: manifest write failed: {e}"),
+        }
     }
-    flush_trace(name);
-    if dcn_obs::enabled() {
-        eprint!("{}", dcn_obs::summary());
-    }
-}
-
-/// Flushes the per-event trace (when active) to `DCN_TRACE_FILE`, or to
-/// `results/<name>.trace.json` when only `DCN_OBS=trace` asked for
-/// tracing. Flushing rewrites the file with all events so far, so in a
-/// binary with several tables the last flush wins with the full trace.
-fn flush_trace(name: &str) {
-    if !dcn_trace::active() {
+    if !dcn_obs::trace::active() {
         return;
     }
-    let path = match dcn_trace::trace_file_from_env() {
-        Some(p) => p,
-        None => match results_dir() {
-            Ok(dir) => dir.join(format!("{name}.trace.json")),
-            Err(e) => {
-                eprintln!("{e}");
-                return;
-            }
-        },
+    let tpath = match (dcn_obs::env::TRACE_FILE.get_os(), dir) {
+        (Some(path), _) if !panicking => PathBuf::from(path),
+        (_, Some(dir)) => dir.join(format!("{name}{suffix}.trace.json")),
+        (_, None) => return,
     };
-    match dcn_trace::flush_to_file(&path) {
-        Ok(n) => dcn_obs::obs_log!("wrote {} ({n} events)", path.display()),
-        Err(e) => eprintln!("trace flush failed for {name}: {e}"),
+    match dcn_obs::trace::flush_to_file(&tpath) {
+        Ok(n) if panicking => {
+            eprintln!("{name}: panic: flushed {n} trace events to {}", tpath.display());
+        }
+        Ok(n) => dcn_obs::obs_log!("wrote {} ({n} events)", tpath.display()),
+        Err(e) => eprintln!("{name}: trace flush failed: {e}"),
     }
 }
 
@@ -230,7 +207,7 @@ impl Table {
         // per-event trace recorder when the environment asks for one, and
         // arm the panic hook so a mid-sweep abort still flushes.
         process_start();
-        dcn_trace::init_from_env();
+        dcn_obs::trace::init_from_env();
         install_panic_flush(name);
         Table {
             name: name.to_string(),
@@ -343,7 +320,7 @@ pub fn run_guarded(
     // panic-flush hook before any experiment work runs, so traces cover
     // the whole body and survive a panicking one.
     process_start();
-    dcn_trace::init_from_env();
+    dcn_obs::trace::init_from_env();
     install_panic_flush(name);
     match body() {
         Ok(()) => std::process::ExitCode::SUCCESS,

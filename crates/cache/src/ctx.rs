@@ -81,20 +81,6 @@ impl<'a> SolveCtx<'a> {
         }
     }
 
-    /// The same cache under a different budget, e.g. a per-stage
-    /// sub-deadline derived from a request's global budget.
-    pub fn with_budget(self, budget: &'a Budget) -> SolveCtx<'a> {
-        SolveCtx { budget, ..self }
-    }
-
-    /// The same budget with the cache disabled, e.g. to force a
-    /// recomputation while still honoring the request deadline.
-    pub fn without_cache(self) -> SolveCtx<'a> {
-        SolveCtx {
-            cache: disabled_ref(),
-            ..self
-        }
-    }
 }
 
 /// A `&'static` disabled cache handle backing the `*_ctx` constructors.
@@ -132,19 +118,5 @@ mod tests {
         let mut m = c.budget.meter();
         assert!(m.tick().is_ok());
         assert!(m.tick().is_err());
-    }
-
-    #[test]
-    fn with_budget_and_without_cache_rebind() {
-        let cache = CacheHandle::in_memory(1 << 16);
-        let tight = Budget::unlimited().with_iter_cap(0);
-        let c = SolveCtx::unlimited(&cache);
-        assert!(c.budget.is_unlimited());
-        let c2 = c.with_budget(&tight);
-        assert!(c2.cache.is_enabled());
-        assert!(!c2.budget.is_unlimited());
-        let c3 = c2.without_cache();
-        assert!(!c3.cache.is_enabled());
-        assert!(!c3.budget.is_unlimited());
     }
 }

@@ -164,13 +164,13 @@ impl CacheHandle {
     /// Unparseable values fall back to the default rather than erroring:
     /// the cache is an accelerator and must never fail a run.
     pub fn from_env() -> CacheHandle {
-        let bytes = dcn_guard::env::CACHE_BYTES
+        let bytes = dcn_obs::env::CACHE_BYTES
             .parsed::<usize>()
             .unwrap_or(DEFAULT_CACHE_BYTES);
         if bytes == 0 {
             return CacheHandle::disabled();
         }
-        match dcn_guard::env::CACHE_DIR.get() {
+        match dcn_obs::env::CACHE_DIR.get() {
             Some(dir) if !dir.trim().is_empty() => CacheHandle::with_disk(bytes, dir),
             _ => CacheHandle::in_memory(bytes),
         }

@@ -217,6 +217,8 @@ pub struct FrontierConfig {
 /// across cells (and across a rerun of the whole sweep) hit the cache,
 /// which is what makes warm reruns fast. Sharing is safe for determinism
 /// because cached results are byte-identical to recomputed ones.
+///
+/// [`CacheHandle`]: dcn_cache::CacheHandle
 pub fn frontier_sweep(
     configs: &[FrontierConfig],
     ctx: &SolveCtx<'_>,

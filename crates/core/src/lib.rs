@@ -1,6 +1,6 @@
 //! The paper's primary contribution, as a library.
 //!
-//! * [`tub`] — the throughput upper bound of Theorem 2.2 (Equation 1) and
+//! * [`tub`](mod@tub) — the throughput upper bound of Theorem 2.2 (Equation 1) and
 //!   its per-switch-H generalization (Equation 18), computed via all-pairs
 //!   BFS plus maximum-weight matching. This is the quantity the paper
 //!   calls **tub** throughout its evaluation.

@@ -43,7 +43,7 @@ const PROPOSAL_BATCH: usize = 8;
 /// maximal permutation, using `iters` random 2-swap proposals.
 ///
 /// Each proposal exchanges the destinations of two sources. Proposals are
-/// drawn in fixed batches of [`PROPOSAL_BATCH`] from a single seeded RNG,
+/// drawn in fixed batches of 8 (`PROPOSAL_BATCH`) from a single seeded RNG,
 /// the batch's MCF solves fan out across the [`dcn_exec`] pool, and the
 /// *steepest* strictly-descending candidate of the batch (first on ties)
 /// is accepted. Acceptance tests are expensive — every one is an MCF

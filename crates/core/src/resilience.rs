@@ -51,6 +51,8 @@ impl FailurePoint {
 /// share the one [`CacheHandle`]; repeated failure patterns (and sweep
 /// reruns) hit the cache without changing any output.
 ///
+/// [`CacheHandle`]: dcn_cache::CacheHandle
+///
 /// With an exact matching backend, each sample re-matches from the
 /// unfailed parent's Hungarian dual state (see `core::delta`), fetched
 /// from the cache once *before* the fan-out, so every thread deltas off

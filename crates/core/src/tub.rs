@@ -203,6 +203,8 @@ pub(crate) fn tub_key(topo: &Topology, backend: MatchingBackend) -> CacheKey {
 /// generous-budget result can serve a tight-budget call). Pass
 /// `dcn_cache::prelude::nocache()` to always recompute.
 ///
+/// [`CacheHandle`]: dcn_cache::CacheHandle
+///
 /// ```
 /// use dcn_cache::prelude::*;
 /// use dcn_core::{tub, MatchingBackend};

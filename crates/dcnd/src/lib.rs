@@ -22,14 +22,13 @@
 //! * **cold** — scheduled on the pool under the global budget; answered
 //!   with `"cache":"miss"` (or `"dedup"` for in-batch duplicates of the
 //!   same canonical key, `"off"` when caching is disabled).
-//! * **rejected** — `{"status":"rejected","reason":...}` when the global
-//!   budget is already exhausted (`global-budget-exhausted`) or the
-//!   admission queue is out of capacity (`queue-full`).
+//! * **rejected** — `{"status":"rejected","reason":"global-budget-exhausted"}`
+//!   when the global budget is already exhausted.
 //! * **error** — `{"status":"error",...}` for malformed queries and
 //!   failed solves.
 //!
-//! Determinism contract: with `DCN_DCND_TIMING` off (the default),
-//! responses to a replayed batch are byte-identical run over run, and
+//! Determinism contract: responses carry no timings, so responses to a
+//! replayed batch are byte-identical run over run, and
 //! each `value` is bit-identical to the one-shot answer for the same
 //! triple (`dcnd --oneshot` — CI's `dcnd-smoke` job gates on both).
 //!
@@ -45,9 +44,10 @@ use dcn_estimators::{
     BbwProxy, EstimatorError, HoeflerMethod, JainMethod, SinglaBound, SparsestCut,
     ThroughputEstimator, TubEstimator,
 };
-use dcn_guard::{env, Budget, BudgetError};
+use dcn_guard::{Budget, BudgetError};
 use dcn_mcf::McfError;
 use dcn_model::{Topology, TrafficMatrix};
+use dcn_obs::env;
 use dcn_obs::json::Json;
 use dcn_topo::{fat_tree, folded_clos, ClosParams};
 use rand::rngs::StdRng;
@@ -55,22 +55,19 @@ use rand::SeedableRng;
 use std::io::{BufRead, Write};
 use std::time::Duration;
 
+/// Query lines per scheduling batch: [`Daemon::serve`] answers a batch
+/// once it holds this many lines (or the input ends).
+const BATCH_LINES: usize = 256;
+
 /// Daemon configuration, read once at startup from the registered
-/// `DCN_DCND_*` knobs (see `dcn_guard::env`).
+/// `DCN_DCND_*` knobs (see `dcn_obs::env`).
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
     /// Unix socket path to listen on; `None` serves stdin/stdout.
     pub socket: Option<std::path::PathBuf>,
-    /// Queries admitted per scheduling batch; `0` rejects everything
-    /// with a typed `queue-full` response.
-    pub queue_depth: usize,
-    /// Cap on cold solves in flight at once (pool fan-out width).
-    pub max_inflight: usize,
     /// Global wall-clock budget for all cold solves, anchored at
     /// [`Daemon::new`]; `None` is unlimited.
     pub global_deadline: Option<Duration>,
-    /// Include `wall_ms` in provenance (off ⇒ byte-stable replays).
-    pub timing: bool,
 }
 
 impl DaemonConfig {
@@ -78,18 +75,9 @@ impl DaemonConfig {
     pub fn from_env() -> DaemonConfig {
         DaemonConfig {
             socket: env::DCND_SOCKET.get_os().map(std::path::PathBuf::from),
-            queue_depth: env::DCND_QUEUE_DEPTH.parsed::<usize>().unwrap_or(256),
-            max_inflight: env::DCND_MAX_INFLIGHT
-                .parsed::<usize>()
-                .filter(|&n| n > 0)
-                .unwrap_or_else(|| dcn_exec::Pool::from_env().threads()),
             global_deadline: env::DCND_GLOBAL_DEADLINE_MS
                 .parsed::<u64>()
                 .map(Duration::from_millis),
-            timing: matches!(
-                env::DCND_TIMING.get().as_deref().map(str::trim),
-                Some("1") | Some("on") | Some("true")
-            ),
         }
     }
 }
@@ -370,11 +358,7 @@ impl CacheProvenance {
 
 /// The outcome of solving one canonical key.
 enum SolveOutcome {
-    Ok {
-        value: f64,
-        fallback: bool,
-        wall_ms: Option<f64>,
-    },
+    Ok { value: f64, fallback: bool },
     BudgetExhausted,
     Failed(String),
 }
@@ -382,7 +366,6 @@ enum SolveOutcome {
 /// The daemon: shared cache handle, global budget (anchored at
 /// construction), and scheduling pool.
 pub struct Daemon {
-    config: DaemonConfig,
     cache: CacheHandle,
     budget: Budget,
     pool: dcn_exec::Pool,
@@ -398,7 +381,6 @@ impl Daemon {
             None => Budget::unlimited(),
         };
         Daemon {
-            config,
             cache: CacheHandle::from_env(),
             budget,
             pool: dcn_exec::Pool::from_env(),
@@ -421,7 +403,7 @@ impl Daemon {
     ///
     /// Pipeline: parse → canonical key → in-batch dedup → warm probe
     /// ([`CacheHandle::peek`]) → admission (global budget) → cold solves
-    /// fanned out on the pool in chunks of `max_inflight` → responses.
+    /// fanned out on the pool in chunks of its width → responses.
     pub fn process_batch(&self, lines: &[String]) -> Vec<String> {
         let _batch = dcn_obs::span!(dcn_obs::names::DCND_BATCH);
         let parsed: Vec<Result<Query, String>> =
@@ -468,7 +450,7 @@ impl Daemon {
         let mut solved: std::collections::HashMap<CacheKey, SolveOutcome> =
             std::collections::HashMap::new();
         if !exhausted {
-            for chunk in cold.chunks(self.config.max_inflight.max(1)) {
+            for chunk in cold.chunks(self.pool.threads().max(1)) {
                 let results: Result<Vec<(CacheKey, SolveOutcome)>, BudgetError> =
                     self.pool.par_map(&self.budget, chunk, |_, &qi| {
                         let q = parsed[qi].as_ref().expect("cold index is parsed");
@@ -487,7 +469,6 @@ impl Daemon {
         // `DCN_OBS=summary` reports warm-tier effectiveness per run.
         dcn_cache::publish_hit_rate();
 
-        let timing = self.config.timing;
         parsed
             .iter()
             .enumerate()
@@ -504,25 +485,16 @@ impl Daemon {
                             .map(|&(_, v)| v)
                             .expect("warm index recorded");
                         dcn_obs::counter!(dcn_obs::names::DCND_QUERIES_OK).inc();
-                        respond_ok(q, v, CacheProvenance::Hit, false, None)
+                        respond_ok(q, v, CacheProvenance::Hit, false)
                     }
                     Some(prov) => match solved.get(&q.key) {
-                        Some(SolveOutcome::Ok {
-                            value,
-                            fallback,
-                            wall_ms,
-                        }) => {
+                        Some(SolveOutcome::Ok { value, fallback }) => {
                             dcn_obs::counter!(dcn_obs::names::DCND_QUERIES_OK).inc();
-                            let wall = if timing && prov == CacheProvenance::Dedup {
-                                Some(0.0)
-                            } else {
-                                *wall_ms
-                            };
-                            respond_ok(q, *value, prov, *fallback, wall)
+                            respond_ok(q, *value, prov, *fallback)
                         }
                         Some(SolveOutcome::BudgetExhausted) | None => {
                             dcn_obs::counter!(dcn_obs::names::DCND_QUERIES_REJECTED).inc();
-                            respond_rejected(q, "global-budget-exhausted")
+                            respond_rejected(&q.id, "global-budget-exhausted")
                         }
                         Some(SolveOutcome::Failed(e)) => {
                             dcn_obs::counter!(dcn_obs::names::DCND_QUERIES_ERROR).inc();
@@ -541,20 +513,20 @@ impl Daemon {
         let ctx = SolveCtx::new(&self.cache, &self.budget);
         let fallbacks_before = dcn_obs::counter_value(dcn_obs::names::CORE_TUB_FALLBACKS)
             + dcn_obs::counter_value(dcn_obs::names::MCF_FALLBACK_EXACT_TO_FPTAS);
-        let (result, secs) = dcn_obs::time_scope(dcn_obs::names::DCND_SOLVE, || {
-            self.cache.get_or_compute::<Answer, EstimatorError>(
-                || q.key,
-                || {
-                    let topo = build_topology(&q.topology)
-                        .map_err(|e| EstimatorError::Core(CoreError::OutOfRegime(e)))?;
-                    let tm = build_tm(&q.tm, &topo)
-                        .map_err(|e| EstimatorError::Core(CoreError::OutOfRegime(e)))?;
-                    let est = make_estimator(&q.estimator)
-                        .map_err(|e| EstimatorError::Core(CoreError::OutOfRegime(e)))?;
-                    est.estimate(&topo, &tm, &ctx).map(Answer)
-                },
-            )
-        });
+        let span = dcn_obs::span!(dcn_obs::names::DCND_SOLVE);
+        let result = self.cache.get_or_compute::<Answer, EstimatorError>(
+            || q.key,
+            || {
+                let topo = build_topology(&q.topology)
+                    .map_err(|e| EstimatorError::Core(CoreError::OutOfRegime(e)))?;
+                let tm = build_tm(&q.tm, &topo)
+                    .map_err(|e| EstimatorError::Core(CoreError::OutOfRegime(e)))?;
+                let est = make_estimator(&q.estimator)
+                    .map_err(|e| EstimatorError::Core(CoreError::OutOfRegime(e)))?;
+                est.estimate(&topo, &tm, &ctx).map(Answer)
+            },
+        );
+        drop(span);
         let fallbacks_after = dcn_obs::counter_value(dcn_obs::names::CORE_TUB_FALLBACKS)
             + dcn_obs::counter_value(dcn_obs::names::MCF_FALLBACK_EXACT_TO_FPTAS);
         match result {
@@ -565,7 +537,6 @@ impl Daemon {
                 // solve's fallback can attribute here — provenance, not
                 // correctness.
                 fallback: fallbacks_after > fallbacks_before,
-                wall_ms: self.config.timing.then_some(secs * 1e3),
             },
             Err(e) if is_budget_exhaustion(&e) => SolveOutcome::BudgetExhausted,
             Err(e) => SolveOutcome::Failed(e.to_string()),
@@ -573,9 +544,8 @@ impl Daemon {
     }
 
     /// Serves line-delimited queries from `input`, writing one response
-    /// line per query to `out` in input order. Lines batch up to
-    /// `queue_depth` per scheduling round; a zero-depth queue rejects
-    /// every query with a typed `queue-full` response.
+    /// line per query to `out` in input order. Lines batch up to 256 per
+    /// scheduling round.
     pub fn serve(
         &self,
         input: impl BufRead,
@@ -587,18 +557,8 @@ impl Daemon {
             if line.trim().is_empty() {
                 continue;
             }
-            if self.config.queue_depth == 0 {
-                let id = Json::parse(&line)
-                    .ok()
-                    .and_then(|q| q.get("id").cloned())
-                    .unwrap_or(Json::Null);
-                dcn_obs::counter!(dcn_obs::names::DCND_QUERIES_REJECTED).inc();
-                writeln!(out, "{}", reject_line(&id, "queue-full"))?;
-                out.flush()?;
-                continue;
-            }
             batch.push(line);
-            if batch.len() >= self.config.queue_depth {
+            if batch.len() >= BATCH_LINES {
                 self.flush_batch(&mut batch, &mut out)?;
             }
         }
@@ -637,39 +597,22 @@ impl Daemon {
     }
 }
 
-fn provenance_json(prov: CacheProvenance, fallback: bool, wall_ms: Option<f64>) -> Json {
-    let mut fields = vec![
-        ("cache".to_string(), Json::Str(prov.name().into())),
-        ("fallback".to_string(), Json::Bool(fallback)),
-    ];
-    if let Some(ms) = wall_ms {
-        fields.push(("wall_ms".to_string(), Json::Num(ms)));
-    }
-    Json::Obj(fields)
-}
-
-fn respond_ok(
-    q: &Query,
-    value: f64,
-    prov: CacheProvenance,
-    fallback: bool,
-    wall_ms: Option<f64>,
-) -> String {
+fn respond_ok(q: &Query, value: f64, prov: CacheProvenance, fallback: bool) -> String {
+    let provenance = Json::obj([
+        ("cache", Json::Str(prov.name().into())),
+        ("fallback", Json::Bool(fallback)),
+    ]);
     Json::obj([
         ("id", q.id.clone()),
         ("status", Json::Str("ok".into())),
         ("estimator", Json::Str(q.estimator.clone())),
         ("value", Json::Num(value)),
-        ("provenance", provenance_json(prov, fallback, wall_ms)),
+        ("provenance", provenance),
     ])
     .to_string_compact()
 }
 
-fn respond_rejected(q: &Query, reason: &str) -> String {
-    reject_line(&q.id, reason)
-}
-
-fn reject_line(id: &Json, reason: &str) -> String {
+fn respond_rejected(id: &Json, reason: &str) -> String {
     Json::obj([
         ("id", id.clone()),
         ("status", Json::Str("rejected".into())),

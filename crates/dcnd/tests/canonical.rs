@@ -19,10 +19,7 @@ use std::time::Duration;
 fn config() -> DaemonConfig {
     DaemonConfig {
         socket: None,
-        queue_depth: 256,
-        max_inflight: 2,
         global_deadline: None,
-        timing: false,
     }
 }
 
@@ -236,25 +233,6 @@ fn served_responses_are_byte_identical_to_oneshot() {
     assert_eq!(ra, rb);
     assert_eq!(status(&ra[0]), "ok");
     assert_eq!(provenance(&ra[0]), "miss");
-}
-
-#[test]
-fn zero_queue_depth_rejects_everything() {
-    let _guard = counters();
-    let daemon = Daemon::with_cache(
-        DaemonConfig {
-            queue_depth: 0,
-            ..config()
-        },
-        CacheHandle::in_memory(1 << 20),
-    );
-    let input = b"{\"id\":9,\"topology\":{\"family\":\"fat_tree\",\"k\":4},\"estimator\":\"singla\"}\n";
-    let mut out = Vec::new();
-    daemon.serve(&input[..], &mut out).unwrap();
-    assert_eq!(
-        String::from_utf8(out).unwrap(),
-        "{\"id\":9,\"status\":\"rejected\",\"reason\":\"queue-full\"}\n"
-    );
 }
 
 #[test]

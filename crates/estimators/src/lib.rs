@@ -4,10 +4,10 @@
 //! * [`HoeflerMethod`] — Hoefler et al. [51/23]: each flow splits into one
 //!   sub-flow per admissible path; every link's capacity is shared equally
 //!   among all sub-flows crossing it.
-//! * [`JainMethod`] — Jain et al. [24]: flows are routed incrementally,
+//! * [`JainMethod`] — Jain et al. \[24\]: flows are routed incrementally,
 //!   one path round at a time; each round's sub-flows get an equal share of
 //!   the *residual* capacity on every link they cross.
-//! * [`SinglaBound`] — Singla et al. NSDI'14 [43]: an upper bound on the
+//! * [`SinglaBound`] — Singla et al. NSDI'14 \[43\]: an upper bound on the
 //!   *average* throughput under uniform traffic, driven by the mean
 //!   shortest-path distance: `θ <= 2E / Σ_u H_u d̄_u`.
 //! * [`BbwProxy`] — bisection bandwidth divided by `N/2` (the implicit

@@ -31,13 +31,15 @@
 //! inherently time-dependent; determinism is guaranteed for budgets that
 //! do not expire mid-run (the common case: [`dcn_guard::prelude::unlimited`]).
 //!
+//! [`CancelFlag`]: dcn_guard::CancelFlag
+//!
 //! # Span attribution
 //!
 //! Workers inherit the submitting thread's span path as their thread span
 //! parent ([`dcn_obs::set_thread_span_parent`]), and every task runs
 //! under an `exec.pool.task` span on both the serial and parallel paths —
 //! so span paths and counts are identical at any thread count, and
-//! per-event traces (`dcn-trace`) show tasks nested under the fan-out
+//! per-event traces (`dcn_obs::trace`) show tasks nested under the fan-out
 //! that submitted them. Attribution is observability-only: it never
 //! affects task results or output bytes.
 //!
@@ -83,7 +85,7 @@ impl Pool {
     /// fan-outs). Unset, empty, zero, or unparsable values fall back to
     /// the machine's available parallelism.
     pub fn from_env() -> Self {
-        let from_var = dcn_guard::env::EXEC_THREADS
+        let from_var = dcn_obs::env::EXEC_THREADS
             .parsed::<usize>()
             .filter(|&n| n > 0);
         let threads = from_var.unwrap_or_else(|| {
@@ -240,29 +242,6 @@ impl Pool {
         Ok(out)
     }
 
-    /// [`Pool::par_map`] followed by an in-order fold on the caller
-    /// thread: `reduce(acc, result_i)` is applied for `i = 0, 1, 2, …`
-    /// regardless of completion order, so non-commutative reductions (and
-    /// float accumulation) stay deterministic at any thread count.
-    pub fn par_map_reduce<I, T, E, A, F, R>(
-        &self,
-        budget: &Budget,
-        items: &[I],
-        f: F,
-        init: A,
-        mut reduce: R,
-    ) -> Result<A, E>
-    where
-        I: Sync,
-        T: Send,
-        E: Send + From<BudgetError>,
-        F: Fn(usize, &I) -> Result<T, E> + Sync,
-        R: FnMut(A, T) -> A,
-    {
-        let mapped = self.par_map(budget, items, f)?;
-        Ok(mapped.into_iter().fold(init, &mut reduce))
-    }
-
     /// The single-worker path: a plain in-order loop with the same budget
     /// checkpoints as the parallel path, so `DCN_EXEC_THREADS=1` exercises
     /// identical semantics without spawning.
@@ -363,22 +342,6 @@ mod tests {
                 .unwrap_err();
             assert_eq!(err, BudgetError::IterationsExceeded { cap: 10 });
         }
-    }
-
-    #[test]
-    fn reduce_folds_in_input_order() {
-        let items: Vec<u64> = (0..20).collect();
-        let concat = Pool::new(4)
-            .par_map_reduce(
-                &Budget::unlimited(),
-                &items,
-                |_, &x| Ok::<_, BudgetError>(x.to_string()),
-                String::new(),
-                |acc, s| acc + &s + ",",
-            )
-            .unwrap();
-        let serial: String = (0..20).map(|x| format!("{x},")).collect();
-        assert_eq!(concat, serial);
     }
 
     #[test]

@@ -206,6 +206,35 @@ impl Graph {
     }
 }
 
+/// Hop resolution for node paths on one graph: every ordered pair of
+/// adjacent nodes maps to its edge and direction. Build it once per
+/// graph and resolve every path enumerated on that graph through it.
+#[derive(Debug, Clone)]
+pub struct EdgeIndex {
+    hop: std::collections::HashMap<(NodeId, NodeId), (EdgeId, bool)>,
+}
+
+impl EdgeIndex {
+    /// Indexes every edge of `g` in both directions; of parallel edges,
+    /// the highest id wins.
+    pub fn new(g: &Graph) -> EdgeIndex {
+        let mut hop = std::collections::HashMap::with_capacity(2 * g.m());
+        for (e, &(u, v)) in g.edges.iter().enumerate() {
+            hop.insert((u, v), (e as EdgeId, true));
+            hop.insert((v, u), (e as EdgeId, false));
+        }
+        EdgeIndex { hop }
+    }
+
+    /// The `(edge, forward)` hops of a node path, where `forward` means
+    /// the hop runs from the edge's stored `u` endpoint to its `v`.
+    /// Consecutive nodes must be adjacent, as they are on any path
+    /// enumerated on the indexed graph.
+    pub fn hops(&self, nodes: &[NodeId]) -> Vec<(EdgeId, bool)> {
+        nodes.windows(2).map(|w| self.hop[&(w[0], w[1])]).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,4 +1,5 @@
-//! All-pairs (and set-to-all) distance matrices with compact `u16` entries.
+//! All-pairs (and set-to-all) distance matrices with compact `u16` entries,
+//! and the graph diameter computed from them.
 //!
 //! The rows come from a bit-parallel multi-source BFS (Then et al., "The
 //! More the Merrier: Efficient Multi-Source Graph Traversal", VLDB 2015):
@@ -10,6 +11,23 @@ use crate::GraphError;
 
 /// Sources searched together: one bit of a `u64` word each.
 const LANES: usize = 64;
+
+impl Graph {
+    /// Exact diameter: the most hops between any two nodes, from the
+    /// distance rows of 64 sources at a time. Fails with
+    /// [`GraphError::Disconnected`] on a disconnected graph and with
+    /// [`GraphError::DistanceOverflow`] when two nodes lie `u16::MAX` or
+    /// more hops apart.
+    pub fn diameter(&self) -> Result<u16, GraphError> {
+        let sources: Vec<NodeId> = (0..self.n() as NodeId).collect();
+        let mut best = 0;
+        for chunk in sources.chunks(LANES) {
+            let d = DistMatrix::from_sources(self, chunk)?;
+            best = d.data.iter().copied().fold(best, u16::max);
+        }
+        Ok(best)
+    }
+}
 
 /// A dense rectangular distance matrix: one row of `n` distances per source.
 ///
@@ -122,12 +140,6 @@ impl DistMatrix {
         let row = self.row_of[u as usize];
         debug_assert_ne!(row, u32::MAX, "node {u} is not a source row");
         &self.data[row as usize * self.n..(row as usize + 1) * self.n]
-    }
-
-    /// True if `u` has a row in this matrix.
-    #[inline]
-    pub fn has_row(&self, u: NodeId) -> bool {
-        self.row_of[u as usize] != u32::MAX
     }
 
     /// Maximum distance present among source-to-source pairs.
@@ -491,6 +503,24 @@ mod tests {
     }
 
     #[test]
+    fn diameter_of_path_and_cycle() {
+        let _serial = serial();
+        assert_eq!(path(4).diameter(), Ok(3));
+        let cycle = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
+        assert_eq!(cycle.diameter(), Ok(2));
+        let split = Graph::from_edges(3, &[(0, 1)]).unwrap();
+        assert_eq!(split.diameter(), Err(GraphError::Disconnected));
+    }
+
+    #[test]
+    fn diameter_of_u16_max_is_an_overflow() {
+        let _serial = serial();
+        // The first chunk of sources holds node 0, which lies u16::MAX
+        // hops from the far end: the diameter fails there, after one chunk.
+        assert_eq!(path(65_536).diameter(), Err(GraphError::DistanceOverflow));
+    }
+
+    #[test]
     fn distance_beyond_u16_max_is_an_overflow() {
         let _serial = serial();
         assert_eq!(
@@ -518,8 +548,6 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let d = DistMatrix::from_sources(&g, &[0, 3]).unwrap();
         assert_eq!(d.rows(), 2);
-        assert!(d.has_row(0));
-        assert!(!d.has_row(1));
         assert_eq!(d.dist(0, 3), 3);
         assert_eq!(d.dist(3, 0), 3);
         assert_eq!(d.row(0), &[0, 1, 2, 3]);

@@ -186,7 +186,7 @@ pub fn yen(
 /// exceeds the current budget, which keeps enumeration output-sensitive.
 ///
 /// Meters one tick per DFS node expansion (deadline/cancellation checked
-/// every [`DFS_METER_STRIDE`] ticks).
+/// every 1,024 ticks).
 pub fn paths_within_slack(
     g: &Graph,
     src: NodeId,
@@ -205,7 +205,7 @@ pub fn paths_within_slack(
 /// terminates because simple paths have length `< n`).
 ///
 /// Meters one tick per DFS node expansion (deadline/cancellation checked
-/// every [`DFS_METER_STRIDE`] ticks).
+/// every 1,024 ticks).
 pub fn k_shortest_by_slack(
     g: &Graph,
     src: NodeId,

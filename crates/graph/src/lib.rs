@@ -7,7 +7,7 @@
 //!   built from an edge list, supporting parallel edges and per-edge
 //!   capacities.
 //! * BFS single-source shortest paths and all-pairs distance matrices
-//!   ([`Graph::bfs_distances`], [`Graph::apsp`], [`DistMatrix`]).
+//!   ([`Graph::bfs_distances`], [`DistMatrix::all_pairs`], [`DistMatrix`]).
 //! * Yen's algorithm for loopless K-shortest paths ([`ksp::yen`]) and
 //!   enumeration of near-shortest paths ([`ksp::paths_within_slack`]).
 //! * Shortest-path counting ([`Graph::count_shortest_paths`]), used by the
@@ -29,7 +29,7 @@ pub mod moore;
 pub mod spectral;
 pub mod traversal;
 
-pub use csr::{EdgeId, Graph, NodeId};
+pub use csr::{EdgeId, EdgeIndex, Graph, NodeId};
 pub use dist::DistMatrix;
 pub use ksp::Path;
 pub use maxflow::{edge_connectivity, max_flow_value, MaxFlow};

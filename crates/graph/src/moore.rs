@@ -88,21 +88,6 @@ pub fn d_total(n_switches: f64, r: u32) -> Option<f64> {
     Some(total)
 }
 
-/// Closed form of [`d_total`] as printed in Theorem 4.1 (valid for `r >= 3`):
-/// `D = d (n - 1) - r/(r-2) * (((r-1)^d - 1)/(r-2) - d)`.
-/// Exposed for testing the closed form against the summation.
-pub fn d_total_closed_form(n_switches: f64, r: u32) -> Option<f64> {
-    if r < 3 {
-        return d_total(n_switches, r);
-    }
-    let d = min_diameter(r, n_switches.ceil() as u64)? as f64;
-    let rf = r as f64;
-    Some(
-        d * (n_switches - 1.0)
-            - rf / (rf - 2.0) * (((rf - 1.0).powf(d) - 1.0) / (rf - 2.0) - d),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,18 +128,6 @@ mod tests {
         let d = min_diameter(r, 1000).unwrap();
         for m in 1..=d {
             assert!(w_m(n, r, m) > 0.0, "W_{m} should be positive below d");
-        }
-    }
-
-    #[test]
-    fn closed_form_matches_sum() {
-        for &(n, r) in &[(100.0, 8u32), (5000.0, 24), (37.0, 3), (1234.0, 10)] {
-            let a = d_total(n, r).unwrap();
-            let b = d_total_closed_form(n, r).unwrap();
-            assert!(
-                (a - b).abs() < 1e-6 * a.abs().max(1.0),
-                "sum {a} vs closed form {b} for n={n} r={r}"
-            );
         }
     }
 

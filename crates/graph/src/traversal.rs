@@ -1,5 +1,5 @@
-//! BFS traversal: single-source distances, reachability, shortest-path
-//! counting, and the diameter.
+//! BFS traversal: single-source distances, reachability, and
+//! shortest-path counting.
 
 use crate::csr::{Graph, NodeId};
 
@@ -91,23 +91,6 @@ impl Graph {
         }
         count
     }
-
-    /// Exact diameter by running BFS from every node. `O(n (n + m))`.
-    /// Pairs more than `u16::MAX - 1` hops apart are not counted.
-    pub fn diameter(&self) -> u16 {
-        let mut dist = vec![0u16; self.n()];
-        let mut queue = Vec::with_capacity(self.n());
-        let mut best = 0u16;
-        for u in 0..self.n() as NodeId {
-            self.bfs_distances_into(u, &mut dist, &mut queue);
-            for &d in dist.iter() {
-                if d != u16::MAX && d > best {
-                    best = d;
-                }
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -149,12 +132,6 @@ mod tests {
             g.bfs_distances_into(s, &mut dist, &mut queue);
             assert_eq!(dist, g.bfs_distances(s));
         }
-    }
-
-    #[test]
-    fn diameter_and_ecc() {
-        assert_eq!(path4().diameter(), 3);
-        assert_eq!(cycle4().diameter(), 2);
     }
 
     /// Path graph 0-1-…-(n-1).

@@ -44,14 +44,6 @@ pub mod adversarial;
 pub mod tol;
 pub mod validate;
 
-/// The workspace-wide `DCN_*` environment-variable registry.
-///
-/// Defined in `dcn-obs` (the bottom of the crate stack, so `obs` and
-/// `trace` can read knobs without a dependency cycle) and re-exported
-/// here under the name the rest of the workspace imports: every env
-/// read outside tests goes through a `dcn_guard::env` constant, and
-/// clippy's `disallowed-methods` rejects raw `std::env::var` sites.
-pub use dcn_obs::env;
 pub use validate::{validation_enabled, CertError};
 
 /// Convenience re-exports for call sites of the budgeted solver API.
@@ -118,7 +110,6 @@ impl CancelFlag {
 ///
 /// ```
 /// use dcn_guard::{Budget, BudgetError};
-/// use std::time::Duration;
 ///
 /// // An iteration cap fires deterministically on the (cap + 1)-th tick.
 /// let budget = Budget::unlimited().with_iter_cap(2);
@@ -126,12 +117,6 @@ impl CancelFlag {
 /// assert_eq!(meter.tick(), Ok(()));
 /// assert_eq!(meter.tick(), Ok(()));
 /// assert_eq!(meter.tick(), Err(BudgetError::IterationsExceeded { cap: 2 }));
-///
-/// // A wall limit anchors its deadline at the `with_wall` call.
-/// let timed = Budget::unlimited().with_wall(Duration::from_secs(3600));
-/// let left = timed.remaining_wall().expect("deadline is set");
-/// assert!(left <= Duration::from_secs(3600));
-/// assert!(Budget::unlimited().remaining_wall().is_none());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Budget {
@@ -187,16 +172,6 @@ impl Budget {
     /// True when no deadline, cap, or cancellation flag is set.
     pub fn is_unlimited(&self) -> bool {
         self.deadline.is_none() && self.iter_cap.is_none() && self.cancel.is_none()
-    }
-
-    /// Wall-clock time remaining, if a deadline is set. Zero once expired.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "deadlines are measured from the wall clock; dcn-guard owns that read"
-    )]
-    pub fn remaining_wall(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
     }
 
     /// True once the attached flag (if any) has been cancelled.
@@ -367,7 +342,6 @@ mod tests {
             m.tick(),
             Err(BudgetError::DeadlineExceeded { .. })
         ));
-        assert_eq!(b.remaining_wall(), Some(Duration::ZERO));
     }
 
     #[test]

@@ -33,19 +33,6 @@ pub fn approx_zero(v: f64, tol: f64) -> bool {
     v.abs() <= tol
 }
 
-/// True when `v` is within `tol` of one.
-#[inline]
-pub fn approx_one(v: f64, tol: f64) -> bool {
-    approx_eq(v, 1.0, tol)
-}
-
-/// True when `a` exceeds `b` by more than `tol` — "greater, and the gap is
-/// real at this tolerance". The strict counterpart to [`approx_eq`].
-#[inline]
-pub fn definitely_greater(a: f64, b: f64, tol: f64) -> bool {
-    a - b > tol
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,7 +49,6 @@ mod tests {
         assert!(!approx_eq(f64::NAN, f64::NAN, 1e-9));
         assert!(!approx_eq(f64::NAN, 0.0, 1e-9));
         assert!(!approx_zero(f64::NAN, 1e-9));
-        assert!(!approx_one(f64::NAN, 1e-9));
     }
 
     #[test]
@@ -73,17 +59,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_and_one() {
+    fn zero_within_tolerance() {
         assert!(approx_zero(5e-10, DEFAULT_ABS_TOL));
         assert!(!approx_zero(5e-9, DEFAULT_ABS_TOL));
-        assert!(approx_one(1.0 - 1e-10, DEFAULT_ABS_TOL));
-        assert!(!approx_one(0.999, DEFAULT_ABS_TOL));
-    }
-
-    #[test]
-    fn strict_gap() {
-        assert!(definitely_greater(1.0, 0.5, 1e-9));
-        assert!(!definitely_greater(1.0 + 1e-12, 1.0, 1e-9));
-        assert!(!definitely_greater(f64::NAN, 0.0, 1e-9));
     }
 }

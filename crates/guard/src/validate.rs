@@ -30,7 +30,7 @@ static ENABLED: OnceLock<bool> = OnceLock::new();
 /// True when certificate checks should run (see module docs for the
 /// `DCN_VALIDATE` / debug-build policy). Read once per process.
 pub fn validation_enabled() -> bool {
-    *ENABLED.get_or_init(|| match crate::env::VALIDATE.get().as_deref() {
+    *ENABLED.get_or_init(|| match dcn_obs::env::VALIDATE.get().as_deref() {
         Some("1") | Some("on") | Some("true") => true,
         Some("0") | Some("off") | Some("false") => false,
         _ => cfg!(debug_assertions),

@@ -8,7 +8,7 @@
 //! are declared with atomic types (so `.load(…)`/`.store(…)` can be told
 //! apart from ordinary methods of the same name), where every `fn` body
 //! begins and ends (shared by budget-coverage and the guard-region
-//! analysis), and what the `dcn_guard::env` registry declares.
+//! analysis), and what the `dcn_obs::env` registry declares.
 //!
 //! [`index_file`] extracts one file's contribution; [`WorkspaceIndex::build`]
 //! merges all of them.
@@ -47,7 +47,7 @@ pub struct LockDecl {
     pub line: usize,
 }
 
-/// One entry parsed from the `dcn_guard::env` registry source
+/// One entry parsed from the `dcn_obs::env` registry source
 /// (`pub const IDENT: EnvVar = EnvVar { name: "…", default: "…", doc: "…" };`).
 #[derive(Debug, Clone)]
 pub struct EnvEntry {
@@ -83,7 +83,7 @@ pub struct WorkspaceIndex {
     pub atomic_idents: BTreeSet<String>,
     /// Union of every file's lock identifiers.
     pub lock_idents: BTreeSet<String>,
-    /// The parsed `dcn_guard::env` registry (empty when the tree has no
+    /// The parsed `dcn_obs::env` registry (empty when the tree has no
     /// registry file — rules gate on this).
     pub env_entries: Vec<EnvEntry>,
 }

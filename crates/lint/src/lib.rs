@@ -7,7 +7,7 @@
 //! through tolerance helpers, metric names live in one registry, locks
 //! are acquired in one declared order and never held across blocking
 //! calls, atomics spell out their memory orderings, and every `DCN_*`
-//! environment knob is registered in `dcn_guard::env` and mirrored in
+//! environment knob is registered in `dcn_obs::env` and mirrored in
 //! the README. The generic invariants (no panics in solver crates, no
 //! `unsafe`, documented public items, clocks/threads/processes/env reads
 //! only where allowed) are rustc and clippy lints: see

@@ -13,7 +13,7 @@ fn usage() -> ! {
          --deny         exit non-zero when any diagnostic survives\n\
          --list-rules   print the rule table and exit\n\
          --env-table    print the README environment-variable table generated from\n\
-         \x20              the dcn_guard::env registry, then exit"
+         \x20              the dcn_obs::env registry, then exit"
     );
     std::process::exit(2)
 }

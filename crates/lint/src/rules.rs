@@ -9,9 +9,9 @@
 //! solver loops, the metric and env registries, and the lock discipline.
 //!
 //! The engine is **two-pass** (DESIGN.md §14). Pass 1 builds a
-//! [`WorkspaceIndex`](crate::index::WorkspaceIndex) over the lossy
+//! [`WorkspaceIndex`] over the lossy
 //! per-file scan: `fn` bodies, identifiers declared with
-//! `Mutex`/`RwLock`/`Atomic*` types, and the `dcn_guard::env` registry.
+//! `Mutex`/`RwLock`/`Atomic*` types, and the `dcn_obs::env` registry.
 //! Pass 2 runs the per-file rules against that index, then the registry
 //! rules, which need the whole file set.
 //!
@@ -76,7 +76,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "blocking-under-lock",
         summary: "no file I/O, process spawns, sleeps, or channel recv while a lock guard \
-                  is live in obs/trace/cache/exec",
+                  is live in obs/cache/exec",
     },
     RuleInfo {
         id: "atomic-ordering",
@@ -85,7 +85,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "env-registry",
-        summary: "DCN_* literals are registered in dcn_guard::env; registered vars must be \
+        summary: "DCN_* literals are registered in dcn_obs::env; registered vars must be \
                   DCN_-named, unique, live, and mirrored in the README table",
     },
     RuleInfo {
@@ -112,7 +112,7 @@ pub const SOLVER_CRATES: &[&str] = &[
 
 /// The workspace's declared global lock-acquisition order, outermost
 /// first: the obs metric registry, then the obs span table, then the
-/// trace drain buffer, then a cache shard (DESIGN.md §14). A nested
+/// obs trace drain buffer, then a cache shard (DESIGN.md §14). A nested
 /// acquisition must name a strictly later symbol than every guard still
 /// live around it. Ranks are indices into this table.
 pub const LOCK_ORDER: &[&str] = &["REGISTRY", "SPANS", "drained", "shards"];
@@ -121,7 +121,7 @@ pub const LOCK_ORDER: &[&str] = &["REGISTRY", "SPANS", "drained", "shards"];
 /// `blocking-under-lock`): the concurrent service crates that own or
 /// drive the ordered locks. Solver crates hold no locks at all (clippy's
 /// `disallowed-methods` already keeps threads out of them).
-pub const LOCK_CRATES: &[&str] = &["obs", "trace", "cache", "exec"];
+pub const LOCK_CRATES: &[&str] = &["obs", "cache", "exec"];
 
 /// Crates allowed to use `Ordering::SeqCst`: only the fan-out engine,
 /// where cross-thread shutdown handoff could conceivably need it. The
@@ -1056,7 +1056,7 @@ fn env_registry(
                 s.start,
                 format!(
                     "\"{}\" looks like a DCN environment variable but is not registered \
-                     in dcn_guard::env; register it (name + default + doc line) or move \
+                     in dcn_obs::env; register it (name + default + doc line) or move \
                      it out of the DCN_ namespace",
                     s.value
                 ),
@@ -1122,7 +1122,7 @@ fn env_registry(
             diags.push(readme_diag(
                 readme[..begin].matches('\n').count() + 1,
                 "the README environment-variable table no longer matches \
-                 dcn_guard::env; regenerate the block with \
+                 dcn_obs::env; regenerate the block with \
                  `cargo run -p dcn-lint -- --env-table`"
                     .to_string(),
             ));

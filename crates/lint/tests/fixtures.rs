@@ -50,12 +50,12 @@ fn violations_tree_yields_exact_diagnostics() {
         ("float-eq", "crates/lp/src/floats.rs", 15),
         ("allow-justification", "crates/lp/src/floats.rs", 20),
         ("float-eq", "crates/lp/src/floats.rs", 21),
+        ("blocking-under-lock", "crates/obs/src/blocking.rs", 13),
         ("env-registry", "crates/obs/src/env.rs", 21),
         ("env-registry", "crates/obs/src/env.rs", 29),
         ("lock-order", "crates/obs/src/locks.rs", 15),
         ("metric-registry", "crates/obs/src/names.rs", 6),
         ("metric-registry", "crates/obs/src/names.rs", 8),
-        ("blocking-under-lock", "crates/trace/src/blocking.rs", 13),
     ];
     let expected: Vec<(String, String, usize)> = expected
         .into_iter()

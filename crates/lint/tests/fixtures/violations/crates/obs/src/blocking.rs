@@ -1,4 +1,4 @@
-//! Fixture: file I/O while holding the trace drain-buffer lock.
+//! Fixture: file I/O while holding the obs trace drain-buffer lock.
 
 use std::sync::Mutex;
 

@@ -10,11 +10,11 @@
 //! **bit-identical** to a from-scratch build; every downstream result
 //! (FPTAS or exact) is therefore bit-identical too.
 
-use crate::pathset::{Commodity, PathRepr, PathSet};
+use crate::pathset::{pair_paths, Commodity, PathRepr, PathSet};
 use crate::{fabric_theta_key, theta_key, throughput_on_paths, Engine};
 use crate::{McfError, ThroughputResult};
 use dcn_cache::{KeyBuilder, SolveCtx};
-use dcn_graph::NodeId;
+use dcn_graph::{EdgeIndex, NodeId};
 use dcn_guard::Budget;
 use dcn_model::{Topology, TrafficMatrix};
 use std::collections::HashMap;
@@ -47,6 +47,8 @@ use std::collections::HashMap;
 #[derive(Debug)]
 pub struct PairMemo {
     graph: dcn_graph::Graph,
+    /// Hop resolution for `graph`, built once with it.
+    index: EdgeIndex,
     k: usize,
     memo: HashMap<(NodeId, NodeId), PairPaths>,
     /// The fabric's part of every `mcf_theta` key the memo serves.
@@ -63,8 +65,10 @@ impl PairMemo {
     /// An empty memo over `topo`'s coalesced graph with `k` paths per
     /// pair.
     pub fn new(topo: &Topology, k: usize) -> PairMemo {
+        let graph = topo.graph().coalesced();
         PairMemo {
-            graph: topo.graph().coalesced(),
+            index: EdgeIndex::new(&graph),
+            graph,
             k,
             memo: HashMap::new(),
             theta_key: fabric_theta_key(topo),
@@ -91,42 +95,11 @@ impl PairMemo {
         pairs: &[(NodeId, NodeId)],
         budget: &Budget,
     ) -> Result<(), McfError> {
-        // Hop resolution, identical to PathSet::build.
-        let mut lookup: HashMap<(NodeId, NodeId), u32> = HashMap::new();
-        for (e, &(u, v)) in self.graph.edges().iter().enumerate() {
-            lookup.insert((u, v), e as u32);
-            lookup.insert((v, u), e as u32);
-        }
         for &(src, dst) in pairs {
             if self.memo.contains_key(&(src, dst)) {
                 continue;
             }
-            let raw = dcn_graph::ksp::k_shortest_by_slack(
-                &self.graph,
-                src,
-                dst,
-                self.k,
-                u16::MAX,
-                budget,
-            )
-            .map_err(McfError::Budget)?;
-            let Some(sp_len) = raw.iter().map(|p| p.len() - 1).min() else {
-                return Err(McfError::NoPath { src, dst });
-            };
-            let paths: Vec<PathRepr> = raw
-                .into_iter()
-                .map(|nodes| {
-                    let hops = nodes
-                        .windows(2)
-                        .map(|w| {
-                            let e = lookup[&(w[0], w[1])];
-                            let (u, _) = self.graph.edge(e);
-                            (e, u == w[0])
-                        })
-                        .collect();
-                    PathRepr { nodes, hops }
-                })
-                .collect();
+            let (paths, sp_len) = pair_paths(&self.graph, &self.index, src, dst, self.k, budget)?;
             self.memo.insert((src, dst), PairPaths { paths, sp_len });
         }
         Ok(())

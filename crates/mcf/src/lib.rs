@@ -244,6 +244,8 @@ impl std::error::Error for McfError {
 /// `(topology, traffic, k, engine)`. Pass
 /// `dcn_cache::prelude::nocache()` to always recompute.
 ///
+/// [`CacheHandle`]: dcn_cache::CacheHandle
+///
 /// ```
 /// use dcn_cache::prelude::*;
 /// use dcn_graph::Graph;

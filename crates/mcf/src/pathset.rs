@@ -3,11 +3,10 @@
 use crate::McfError;
 use dcn_cache::{CacheEntry, KeyBuilder, SolveCtx};
 use dcn_graph::ksp;
-use dcn_graph::{EdgeId, Graph, NodeId};
+use dcn_graph::{EdgeId, EdgeIndex, Graph, NodeId};
 use dcn_guard::Budget;
 use dcn_model::{Topology, TrafficMatrix};
 use dcn_obs::json::Json;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A path represented as directed edge hops on the coalesced graph.
@@ -108,21 +107,69 @@ impl CacheEntry for SharedPathSet {
     }
 }
 
+/// One ordered switch pair's admissible paths — up to `k` shortest
+/// loopless paths, resolved to hops through `index` — and their shortest
+/// length. [`PathSet::k_shortest`] and the delta layer's per-pair memo
+/// both build commodities through it, so their paths are bit-identical.
+/// A pair with no path fails with [`McfError::NoPath`].
+pub(crate) fn pair_paths(
+    graph: &Graph,
+    index: &EdgeIndex,
+    src: NodeId,
+    dst: NodeId,
+    k: usize,
+    budget: &Budget,
+) -> Result<(Vec<PathRepr>, usize), McfError> {
+    let raw = ksp::k_shortest_by_slack(graph, src, dst, k, u16::MAX, budget)
+        .map_err(McfError::Budget)?;
+    // min() is None exactly when no path was enumerated.
+    let Some(sp_len) = raw.iter().map(|p| p.len() - 1).min() else {
+        return Err(McfError::NoPath { src, dst });
+    };
+    let paths = raw
+        .into_iter()
+        .map(|nodes| PathRepr {
+            hops: index.hops(&nodes),
+            nodes,
+        })
+        .collect();
+    Ok((paths, sp_len))
+}
+
 impl PathSet {
     /// Builds path sets with up to `k` shortest paths per commodity.
     ///
     /// Path enumeration for each commodity meters the [`Budget`], so
     /// adversarial graphs with combinatorially many near-shortest paths
-    /// cannot stall the build phase.
+    /// cannot stall the build phase. The per-commodity enumeration fans
+    /// out across the [`dcn_exec`] pool. Commodities are independent;
+    /// results are merged in demand order and the lowest-index failure
+    /// (e.g. the first `NoPath` in traffic-matrix order) wins, so output —
+    /// including the error — is identical to a serial build at any
+    /// `DCN_EXEC_THREADS`.
     pub fn k_shortest(
         topo: &Topology,
         tm: &TrafficMatrix,
         k: usize,
         budget: &Budget,
     ) -> Result<Self, McfError> {
-        Self::build(topo, tm, |g, src, dst, budget| {
-            ksp::k_shortest_by_slack(g, src, dst, k, u16::MAX, budget).map_err(McfError::Budget)
-        }, budget)
+        if tm.is_empty() {
+            return Err(McfError::EmptyTraffic);
+        }
+        let graph = topo.graph().coalesced();
+        let index = EdgeIndex::new(&graph);
+        let pool = dcn_exec::Pool::from_env();
+        let commodities = pool.par_map(budget, tm.demands(), |_, d| {
+            let (paths, sp_len) = pair_paths(&graph, &index, d.src, d.dst, k, budget)?;
+            Ok::<_, McfError>(Commodity {
+                src: d.src,
+                dst: d.dst,
+                demand: d.amount,
+                paths,
+                sp_len,
+            })
+        })?;
+        Ok(PathSet { graph, commodities })
     }
 
     /// [`PathSet::k_shortest`] behind the cache: the enumerated path set
@@ -140,77 +187,6 @@ impl PathSet {
             || pathset_key(topo, tm, k),
             || PathSet::k_shortest(topo, tm, k, ctx.budget).map(|ps| SharedPathSet(Arc::new(ps))),
         )
-    }
-
-    /// Builds path sets containing every path within `slack` hops of the
-    /// shortest, capped at `cap` paths per commodity (used by the
-    /// Theorem 8.4 lower-bound computation, where `slack = M`).
-    pub fn within_slack(
-        topo: &Topology,
-        tm: &TrafficMatrix,
-        slack: u16,
-        cap: usize,
-        budget: &Budget,
-    ) -> Result<Self, McfError> {
-        Self::build(topo, tm, |g, src, dst, budget| {
-            ksp::paths_within_slack(g, src, dst, slack, cap, budget).map_err(McfError::Budget)
-        }, budget)
-    }
-
-    /// Fans the per-commodity enumeration out across the [`dcn_exec`]
-    /// pool. Commodities are independent; results are merged in demand
-    /// order and the lowest-index failure (e.g. the first `NoPath` in
-    /// traffic-matrix order) wins, so output — including the error — is
-    /// identical to a serial build at any `DCN_EXEC_THREADS`.
-    fn build(
-        topo: &Topology,
-        tm: &TrafficMatrix,
-        enumerate: impl Fn(&Graph, NodeId, NodeId, &Budget) -> Result<Vec<ksp::Path>, McfError> + Sync,
-        budget: &Budget,
-    ) -> Result<Self, McfError> {
-        if tm.is_empty() {
-            return Err(McfError::EmptyTraffic);
-        }
-        let graph = topo.graph().coalesced();
-        // Edge lookup for hop resolution.
-        let mut lookup: HashMap<(NodeId, NodeId), EdgeId> = HashMap::new();
-        for (e, &(u, v)) in graph.edges().iter().enumerate() {
-            lookup.insert((u, v), e as EdgeId);
-            lookup.insert((v, u), e as EdgeId);
-        }
-        let pool = dcn_exec::Pool::from_env();
-        let commodities = pool.par_map(budget, tm.demands(), |_, d| {
-            let raw = enumerate(&graph, d.src, d.dst, budget)?;
-            // min() is None exactly when no path was enumerated.
-            let Some(sp_len) = raw.iter().map(|p| p.len() - 1).min() else {
-                return Err(McfError::NoPath {
-                    src: d.src,
-                    dst: d.dst,
-                });
-            };
-            let paths: Vec<PathRepr> = raw
-                .into_iter()
-                .map(|nodes| {
-                    let hops = nodes
-                        .windows(2)
-                        .map(|w| {
-                            let e = lookup[&(w[0], w[1])];
-                            let (u, _) = graph.edge(e);
-                            (e, u == w[0])
-                        })
-                        .collect();
-                    PathRepr { nodes, hops }
-                })
-                .collect();
-            Ok(Commodity {
-                src: d.src,
-                dst: d.dst,
-                demand: d.amount,
-                paths,
-                sp_len,
-            })
-        })?;
-        Ok(PathSet { graph, commodities })
     }
 
     /// Assembles a path set from an already-coalesced graph and explicit
@@ -314,15 +290,6 @@ mod tests {
         assert_eq!(ps.graph().m(), 1);
         assert_eq!(ps.graph().capacity(0), 3.0);
         assert_eq!(ps.commodities()[0].paths.len(), 1);
-    }
-
-    #[test]
-    fn slack_pathset_bounded() {
-        let t = square_topo();
-        let tm = TrafficMatrix::permutation(&t, &[(0, 2)]).unwrap();
-        let ps = PathSet::within_slack(&t, &tm, 0, 100, &Budget::unlimited()).unwrap();
-        assert_eq!(ps.commodities()[0].paths.len(), 2);
-        assert_eq!(ps.total_paths(), 2);
     }
 
     #[test]

@@ -170,12 +170,6 @@ impl Topology {
         *self.servers.iter().max().expect("non-empty")
     }
 
-    /// Mean servers per server-hosting switch.
-    pub fn h_mean(&self) -> f64 {
-        let k = self.switches_with_servers().len();
-        self.n_servers() as f64 / k as f64
-    }
-
     /// Returns a renamed copy (handy after failure injection / expansion).
     pub fn renamed(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
@@ -250,11 +244,5 @@ mod tests {
         let t = ring_topo(vec![4, 4, 4, 4]).unwrap();
         // Each ring switch: 2 links + 4 servers.
         assert_eq!(t.used_ports(0), 6.0);
-    }
-
-    #[test]
-    fn h_mean_ignores_serverless() {
-        let t = ring_topo(vec![4, 0, 2, 0]).unwrap();
-        assert_eq!(t.h_mean(), 3.0);
     }
 }

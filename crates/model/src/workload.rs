@@ -20,7 +20,7 @@
 //! caller-seeded `&mut impl Rng` — same seed, same matrix, on any thread
 //! count — so sweeps over workloads stay reproducible and cacheable.
 
-use crate::{Demand, ModelError, TopoClass, Topology, TrafficMatrix};
+use crate::{Demand, ModelError, Topology, TrafficMatrix};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -215,12 +215,6 @@ fn merge(demands: Vec<Demand>) -> Vec<Demand> {
     out
 }
 
-/// Convenience: is this topology's workload regime uniform-H? Some
-/// workloads only make sense there.
-pub fn is_uniform_h(topo: &Topology) -> bool {
-    matches!(topo.class(), TopoClass::UniRegular { .. } | TopoClass::BiRegular { .. })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,10 +307,5 @@ mod tests {
         let t = ring(6, 2);
         let mut rng = StdRng::seed_from_u64(5);
         assert!(elephant_mice(&t, 4, 0.5, &mut rng).is_err());
-    }
-
-    #[test]
-    fn uniform_h_detection() {
-        assert!(is_uniform_h(&ring(4, 2)));
     }
 }

@@ -12,10 +12,9 @@
 //! somewhere — so unknown and dead variables both fail CI, exactly as
 //! metric names are policed by `dcn_obs::names`.
 //!
-//! The registry lives in `dcn-obs` (the bottom of the crate stack, so
-//! `obs` and `trace` can use it without a dependency cycle) and is
-//! re-exported as `dcn_guard::env`, the name the rest of the workspace
-//! imports it under. The README's environment-variable table is
+//! The registry lives in `dcn-obs`, the bottom of the crate stack, so
+//! every crate (obs itself included) reads its knobs through
+//! `dcn_obs::env` without a dependency cycle. The README's environment-variable table is
 //! generated from [`ALL`] (`cargo run -p dcn-lint -- --env-table`) and
 //! checked for drift by the same lint rule.
 //!
@@ -106,20 +105,13 @@ pub const CACHE_DIR: EnvVar = EnvVar {
     doc: "When set, enables the on-disk cache tier rooted at this directory (one JSON record per entry, surviving across processes).",
 };
 
-// --- dcn-trace -------------------------------------------------------------
+// --- dcn_obs::trace --------------------------------------------------------
 
 /// Chrome trace output path.
 pub const TRACE_FILE: EnvVar = EnvVar {
     name: "DCN_TRACE_FILE",
     default: "unset (tracing off unless DCN_OBS=trace)",
     doc: "Chrome `trace_event` JSON output path; setting it enables per-event tracing.",
-};
-
-/// Trace event buffer cap.
-pub const TRACE_MAX_EVENTS: EnvVar = EnvVar {
-    name: "DCN_TRACE_MAX_EVENTS",
-    default: "2000000",
-    doc: "Cap on buffered trace events; events past the cap bump `trace.events.dropped` instead of allocating.",
 };
 
 // --- dcn-bench -------------------------------------------------------------
@@ -140,32 +132,11 @@ pub const DCND_SOCKET: EnvVar = EnvVar {
     doc: "When set, `dcnd` listens on this unix socket path instead of serving line-delimited queries over stdin/stdout.",
 };
 
-/// Daemon admission-queue depth.
-pub const DCND_QUEUE_DEPTH: EnvVar = EnvVar {
-    name: "DCN_DCND_QUEUE_DEPTH",
-    default: "256",
-    doc: "Maximum queries admitted per `dcnd` scheduling batch; excess queries in a batch receive a typed `rejected` response with reason `queue-full`.",
-};
-
-/// Daemon solve concurrency cap.
-pub const DCND_MAX_INFLIGHT: EnvVar = EnvVar {
-    name: "DCN_DCND_MAX_INFLIGHT",
-    default: "DCN_EXEC_THREADS",
-    doc: "Cap on cold solves in flight at once inside `dcnd`; warm (cache-served) queries bypass it.",
-};
-
 /// Daemon global deadline.
 pub const DCND_GLOBAL_DEADLINE_MS: EnvVar = EnvVar {
     name: "DCN_DCND_GLOBAL_DEADLINE_MS",
     default: "unset (unlimited)",
     doc: "Global wall-clock budget for all cold solves in a `dcnd` process, anchored at startup; once exhausted, warm queries still answer from cache and cold queries get a typed `rejected` response (`0` rejects every cold solve immediately).",
-};
-
-/// Daemon response-timing toggle.
-pub const DCND_TIMING: EnvVar = EnvVar {
-    name: "DCN_DCND_TIMING",
-    default: "off",
-    doc: "When `1`/`on`/`true`, `dcnd` responses include a `wall_ms` provenance field; off by default so replayed batches are byte-identical.",
 };
 
 /// Every registered variable, in README-table order. The lint rule and
@@ -177,13 +148,9 @@ pub const ALL: &[&EnvVar] = &[
     &CACHE_BYTES,
     &CACHE_DIR,
     &TRACE_FILE,
-    &TRACE_MAX_EVENTS,
     &RESULTS_DIR,
     &DCND_SOCKET,
-    &DCND_QUEUE_DEPTH,
-    &DCND_MAX_INFLIGHT,
     &DCND_GLOBAL_DEADLINE_MS,
-    &DCND_TIMING,
 ];
 
 #[cfg(test)]

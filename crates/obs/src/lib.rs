@@ -12,8 +12,8 @@
 //! * [`Histogram`] — log-bucketed (8 sub-buckets per octave, ~9% relative
 //!   resolution) with quantile readout; one atomic add per record.
 //! * [`span!`] — scoped wall-time timers with parent/child attribution,
-//!   active when `DCN_OBS` is `summary` or `trace`, or when a
-//!   [`TraceSink`] is installed (per-event export, see `dcn-trace`).
+//!   active when `DCN_OBS` is `summary` or `trace`, or when per-event
+//!   tracing is on (Chrome `trace_event` export, see [`trace`]).
 //!
 //! # Modes
 //!
@@ -36,8 +36,9 @@
 //!
 //! The metric macros cache the registry lookup in a per-call-site static
 //! (`OnceLock`), so steady-state cost is one atomic load plus one atomic
-//! add — no locks, no allocation, regardless of mode. Span enter/exit in
-//! `off` mode is a single relaxed load and an untouched guard.
+//! add — no locks, no allocation, regardless of mode. Span enter with
+//! `DCN_OBS=off` and tracing inactive is two cached `OnceLock` loads and
+//! an untouched guard.
 
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
@@ -46,6 +47,7 @@ pub mod env;
 pub mod json;
 pub mod manifest;
 pub mod names;
+pub mod trace;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -98,64 +100,15 @@ pub fn enabled() -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Trace sink
+// Instant events
 
-/// Phase of one trace event forwarded to an installed [`TraceSink`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TracePhase {
-    /// A span was entered (Chrome `ph: "B"`).
-    Begin,
-    /// A span was exited (Chrome `ph: "E"`).
-    End,
-    /// A point event with no duration, e.g. a cache hit (Chrome `ph: "i"`).
-    Instant,
-}
-
-/// Receiver for per-event span enter/exit and instant notifications.
-///
-/// `dcn-obs` itself only *aggregates* spans (per-path totals); a sink —
-/// in practice `dcn_trace::ChromeTracer` — turns every individual
-/// enter/exit into a timestamped event for `chrome://tracing`. The sink
-/// is expected to be cheap (append to a thread-local buffer) because it
-/// runs inside the span hot path.
-pub trait TraceSink: Send + Sync {
-    /// Records one event. `path` is the full hierarchical span path for
-    /// [`TracePhase::Begin`]/[`TracePhase::End`], or a metric-registry
-    /// event name for [`TracePhase::Instant`].
-    fn record(&self, phase: TracePhase, path: &str);
-}
-
-static TRACE_SINK: OnceLock<&'static dyn TraceSink> = OnceLock::new();
-
-/// Installs the process-wide trace sink. Returns `false` (and leaves the
-/// existing sink in place) if one was already installed. Spans become
-/// active once a sink is installed, even under `DCN_OBS=off`, so traces
-/// can be captured without changing any printed output.
-pub fn install_trace_sink(sink: &'static dyn TraceSink) -> bool {
-    TRACE_SINK.set(sink).is_ok()
-}
-
-/// The installed trace sink, if any.
-#[inline]
-pub fn trace_sink() -> Option<&'static dyn TraceSink> {
-    TRACE_SINK.get().copied()
-}
-
-/// True when a trace sink is installed (per-event export is active).
-#[inline]
-pub fn trace_active() -> bool {
-    TRACE_SINK.get().is_some()
-}
-
-/// Forwards an instant event (e.g. a cache hit) to the installed sink;
+/// Records an instant event (e.g. a cache hit) in the per-event trace;
 /// a single `OnceLock` load when tracing is inactive. `name` should be a
 /// `dcn_obs::names` constant so traces and manifests stay in sync (the
 /// `metric-registry` lint checks call sites).
 #[inline]
 pub fn trace_instant(name: &str) {
-    if let Some(sink) = trace_sink() {
-        sink.record(TracePhase::Instant, name);
-    }
+    trace::record(trace::Phase::Instant, name);
 }
 
 // ---------------------------------------------------------------------------
@@ -523,14 +476,14 @@ pub struct SpanGuard {
 impl SpanGuard {
     /// Starts a span named `name`, nested under any enclosing span on this
     /// thread (or under the thread span parent when the stack is empty).
-    /// A no-op unless the mode is `summary`/`trace` or a [`TraceSink`] is
-    /// installed.
+    /// A no-op unless the mode is `summary`/`trace` or tracing is active
+    /// ([`trace::active`]).
     #[expect(
         clippy::disallowed_methods,
         reason = "span timing is what dcn-obs exists for; the start time feeds only span totals"
     )]
     pub fn enter(name: &'static str) -> SpanGuard {
-        if !enabled() && !trace_active() {
+        if !enabled() && !trace::active() {
             return SpanGuard { start: None };
         }
         SPAN_STACK.with(|s| {
@@ -542,9 +495,7 @@ impl SpanGuard {
                     None => name.to_string(),
                 },
             };
-            if let Some(sink) = trace_sink() {
-                sink.record(TracePhase::Begin, &path);
-            }
+            trace::record(trace::Phase::Begin, &path);
             stack.push(SpanFrame {
                 path,
                 child_secs: 0.0,
@@ -566,9 +517,7 @@ impl Drop for SpanGuard {
                 Some(f) => f,
                 None => return, // reset() raced a live span; drop silently
             };
-            if let Some(sink) = trace_sink() {
-                sink.record(TracePhase::End, &frame.path);
-            }
+            trace::record(trace::Phase::End, &frame.path);
             if let Some(parent) = stack.last_mut() {
                 parent.child_secs += elapsed;
             }

@@ -121,7 +121,7 @@ pub const CORE_NEARWORST_CANDIDATE: &str = "core.nearworst.candidate";
 
 // --- dcn-exec --------------------------------------------------------------
 
-/// Fan-out calls issued to a [`Pool`] (counter).
+/// Fan-out calls issued to a `dcn_exec::Pool` (counter).
 pub const EXEC_POOL_RUNS: &str = "exec.pool.runs";
 /// Tasks executed across all pool runs (counter).
 pub const EXEC_POOL_TASKS: &str = "exec.pool.tasks";
@@ -152,7 +152,7 @@ pub const GUARD_BUDGET_CANCELLED: &str = "guard.budget.cancelled";
 pub const BENCH_FIG3_EXACT_THETA: &str = "bench.fig3.exact_theta";
 /// Bisection-bandwidth proxy of the last fig3 instance (gauge).
 pub const BENCH_FIG3_BBW_PROXY: &str = "bench.fig3.bbw_proxy";
-/// Wall time of a [`dcn_obs::time_scope`]-wrapped experiment body (span).
+/// Wall time of a [`crate::time_scope`]-wrapped experiment body (span).
 pub const BENCH_TIMED: &str = "bench.timed";
 
 // --- dcn-cache -------------------------------------------------------------
@@ -170,11 +170,11 @@ pub const CACHE_QUARANTINED: &str = "cache.quarantined";
 /// hits / (hits + misses) at manifest-capture time (gauge).
 pub const CACHE_HIT_RATE: &str = "cache.hit_rate";
 
-// --- dcn-trace -------------------------------------------------------------
+// --- dcn_obs::trace --------------------------------------------------------
 
 /// Trace events appended to the per-thread buffers (counter).
 pub const TRACE_EVENTS_RECORDED: &str = "trace.events.recorded";
-/// Trace events dropped at the `DCN_TRACE_MAX_EVENTS` cap (counter).
+/// Trace events dropped at the 2,000,000-event cap (counter).
 pub const TRACE_EVENTS_DROPPED: &str = "trace.events.dropped";
 
 // --- delta (incremental solving, spans lp/mcf/core) ------------------------

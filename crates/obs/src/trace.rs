@@ -1,12 +1,13 @@
-//! `dcn-trace`: per-event trace export on top of `dcn-obs`.
+//! Per-event trace export: every span enter/exit as a Chrome
+//! `trace_event`.
 //!
-//! `dcn-obs` aggregates spans into per-path totals — enough to see *where*
+//! Span statistics aggregate into per-path totals — enough to see *where*
 //! wall-clock goes, but not *when*: a frontier sweep that serializes
 //! behind one slow cell and one that saturates every worker produce the
-//! same totals. This crate records every individual span enter/exit (plus
-//! instant events such as cache hits) into lock-free per-thread buffers
-//! and flushes them to a Chrome `trace_event`-format JSON file viewable in
-//! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
+//! same totals. The recorder here keeps every individual span enter/exit
+//! (plus instant events such as cache hits) in lock-free per-thread
+//! buffers and flushes them to a Chrome `trace_event`-format JSON file
+//! viewable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 //!
 //! # Activation
 //!
@@ -21,7 +22,7 @@
 //!
 //! * Span enter → `ph: "B"`, span exit → `ph: "E"`, paired per thread
 //!   (spans nest per-thread, so B/E pairing is structural).
-//! * [`dcn_obs::trace_instant`] → `ph: "i"` (thread-scoped instant), used
+//! * [`crate::trace_instant`] → `ph: "i"` (thread-scoped instant), used
 //!   by `dcn-cache` for hit/miss/disk-hit events.
 //! * Timestamps are monotonic nanoseconds from one process-wide origin
 //!   (exported as fractional microseconds, the format's native unit);
@@ -30,53 +31,57 @@
 //! # Memory behaviour
 //!
 //! Each thread appends to its own buffer (no locks on the hot path); a
-//! buffer is drained into the global store under a mutex when it exceeds
-//! [`DRAIN_THRESHOLD`] events or when its thread exits. `dcn-exec` joins
-//! its workers before `par_map` returns, so by flush time every
-//! worker-thread event has been drained; only threads still live and
-//! un-drained at flush (none in this workspace's single-threaded
-//! harnesses) could be missed. Total volume is capped by
-//! `DCN_TRACE_MAX_EVENTS` (default 2,000,000 ≈ 150 MB of JSON); events
+//! buffer is drained into the global store under a mutex when it reaches
+//! 8,192 events or when its thread exits. `dcn-exec` joins its workers
+//! before `par_map` returns, so by flush time every worker-thread event
+//! has been drained; only threads still live and un-drained at flush
+//! (none in this workspace's single-threaded harnesses) could be missed.
+//! Total volume is capped at 2,000,000 events (≈ 150 MB of JSON); events
 //! past the cap bump the `trace.events.dropped` counter instead of
 //! allocating.
 
-#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
-
-use dcn_obs::json::Json;
-use dcn_obs::{TracePhase, TraceSink};
+use crate::json::Json;
 use std::cell::RefCell;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Local buffers hand off to the global store at this size, bounding both
 /// per-thread memory and the tail of events a live thread privately holds.
-pub const DRAIN_THRESHOLD: usize = 8192;
+const DRAIN_THRESHOLD: usize = 8192;
 
-/// Default event cap when `DCN_TRACE_MAX_EVENTS` is unset or unparsable.
-pub const DEFAULT_MAX_EVENTS: u64 = 2_000_000;
+/// Events recorded past this many are dropped and counted instead.
+const MAX_EVENTS: u64 = 2_000_000;
+
+/// Phase of one trace event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// A span was entered (Chrome `ph: "B"`).
+    Begin,
+    /// A span was exited (Chrome `ph: "E"`).
+    End,
+    /// A point event with no duration, e.g. a cache hit (Chrome `ph: "i"`).
+    Instant,
+}
 
 #[derive(Debug, Clone)]
 struct Event {
-    phase: TracePhase,
+    phase: Phase,
     path: String,
     tid: u64,
     ts_ns: u64,
 }
 
-/// The process-wide tracer: a [`TraceSink`] implementation that buffers
-/// Chrome `trace_event` entries. Install via [`install`] or
-/// [`init_from_env`]; serialize via [`flush_to_file`].
-pub struct ChromeTracer {
+/// The process-wide recorder: the timestamp origin, the drained events
+/// of every thread, and the running event count the cap is checked on.
+struct Tracer {
     origin: Instant,
     drained: Mutex<Vec<Event>>,
-    max_events: u64,
     total: AtomicU64,
 }
 
-static TRACER: OnceLock<ChromeTracer> = OnceLock::new();
+static TRACER: OnceLock<Tracer> = OnceLock::new();
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 struct LocalBuf {
@@ -101,20 +106,15 @@ thread_local! {
     });
 }
 
-impl ChromeTracer {
+impl Tracer {
     #[expect(
         clippy::disallowed_methods,
         reason = "trace events are timestamped against this process-wide monotonic origin"
     )]
-    fn new() -> ChromeTracer {
-        let max_events = dcn_obs::env::TRACE_MAX_EVENTS
-            .parsed::<u64>()
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_MAX_EVENTS);
-        ChromeTracer {
+    fn new() -> Tracer {
+        Tracer {
             origin: Instant::now(),
             drained: Mutex::new(Vec::new()),
-            max_events,
             total: AtomicU64::new(0),
         }
     }
@@ -128,16 +128,14 @@ impl ChromeTracer {
             .unwrap_or_else(|e| e.into_inner())
             .append(events);
     }
-}
 
-impl TraceSink for ChromeTracer {
-    fn record(&self, phase: TracePhase, path: &str) {
+    fn record(&self, phase: Phase, path: &str) {
         // Cap check first: past the cap we never allocate again.
-        if self.total.fetch_add(1, Ordering::Relaxed) >= self.max_events {
-            dcn_obs::counter!(dcn_obs::names::TRACE_EVENTS_DROPPED).inc();
+        if self.total.fetch_add(1, Ordering::Relaxed) >= MAX_EVENTS {
+            crate::counter!(crate::names::TRACE_EVENTS_DROPPED).inc();
             return;
         }
-        dcn_obs::counter!(dcn_obs::names::TRACE_EVENTS_RECORDED).inc();
+        crate::counter!(crate::names::TRACE_EVENTS_RECORDED).inc();
         let ts_ns = self.origin.elapsed().as_nanos() as u64;
         let path = path.to_string();
         LOCAL.with(|l| {
@@ -157,47 +155,46 @@ impl TraceSink for ChromeTracer {
     }
 }
 
-/// Installs the tracer unconditionally (test and harness support).
-/// Returns `true` when this call performed the installation, `false` when
-/// a tracer (or any other sink) was already in place. Installation is
-/// process-wide and permanent; there is no way to uninstall a sink, by
-/// design — spans must not flicker between traced and untraced.
-pub fn install() -> bool {
-    let tracer = TRACER.get_or_init(ChromeTracer::new);
-    dcn_obs::install_trace_sink(tracer)
+/// Records one event when tracing is active; a single `OnceLock` load
+/// otherwise. `path` is the full hierarchical span path for
+/// [`Phase::Begin`]/[`Phase::End`], or a `crate::names` event name for
+/// [`Phase::Instant`].
+#[inline]
+pub(crate) fn record(phase: Phase, path: &str) {
+    if let Some(t) = TRACER.get() {
+        t.record(phase, path);
+    }
 }
 
-/// Installs the tracer when the environment asks for per-event export:
+/// Starts recording when the environment asks for per-event export:
 /// `DCN_TRACE_FILE` set (explicit output path) or `DCN_OBS=trace`.
-/// Idempotent; returns `true` when tracing is active after the call.
+/// Idempotent, and permanent once started — spans must not flicker
+/// between traced and untraced. Returns `true` when tracing is active
+/// after the call.
 pub fn init_from_env() -> bool {
-    let wanted =
-        dcn_obs::env::TRACE_FILE.get_os().is_some() || dcn_obs::mode() == dcn_obs::Mode::Trace;
-    if wanted {
-        install();
+    if crate::env::TRACE_FILE.get_os().is_some() || crate::mode() == crate::Mode::Trace {
+        TRACER.get_or_init(Tracer::new);
     }
     active()
 }
 
-/// True when this crate's tracer is installed as the obs trace sink.
+/// True when the recorder is running (spans are recorded even under
+/// `DCN_OBS=off`, so traces can be captured without changing any
+/// printed output).
+#[inline]
 pub fn active() -> bool {
-    TRACER.get().is_some() && dcn_obs::trace_active()
-}
-
-/// The explicit trace output path from `DCN_TRACE_FILE`, if set.
-pub fn trace_file_from_env() -> Option<PathBuf> {
-    dcn_obs::env::TRACE_FILE.get_os().map(PathBuf::from)
+    TRACER.get().is_some()
 }
 
 /// Serializes every event recorded so far to `path` as Chrome
 /// `trace_event` JSON (object form: `{"traceEvents": […]}`). The buffers
 /// are *not* cleared — a later flush rewrites the file with a superset,
 /// so the final flush of a process always wins with the complete trace.
-/// Returns the number of events written. An error is returned if no
-/// tracer is installed.
-pub fn flush_to_file(path: &std::path::Path) -> std::io::Result<usize> {
+/// Returns the number of events written. An error is returned if
+/// tracing is not active.
+pub fn flush_to_file(path: &Path) -> std::io::Result<usize> {
     let Some(tracer) = TRACER.get() else {
-        return Err(std::io::Error::other("dcn-trace: no tracer installed"));
+        return Err(std::io::Error::other("dcn-obs: tracing is not active"));
     };
     // Drain this thread's buffer so the flushing thread's events (the
     // main thread, in the bench harness) are always included.
@@ -238,16 +235,16 @@ fn event_json(e: &Event) -> Json {
         (
             "cat".into(),
             Json::from(match e.phase {
-                TracePhase::Instant => "instant",
+                Phase::Instant => "instant",
                 _ => "span",
             }),
         ),
         (
             "ph".into(),
             Json::from(match e.phase {
-                TracePhase::Begin => "B",
-                TracePhase::End => "E",
-                TracePhase::Instant => "i",
+                Phase::Begin => "B",
+                Phase::End => "E",
+                Phase::Instant => "i",
             }),
         ),
         ("pid".into(), Json::from(1u64)),
@@ -255,16 +252,16 @@ fn event_json(e: &Event) -> Json {
         ("ts".into(), Json::Num(e.ts_ns as f64 / 1000.0)),
     ];
     match e.phase {
-        TracePhase::Begin => {
+        Phase::Begin => {
             fields.push((
                 "args".into(),
                 Json::obj([("path", Json::from(e.path.as_str()))]),
             ));
         }
-        TracePhase::Instant => {
+        Phase::Instant => {
             fields.push(("s".into(), Json::from("t")));
         }
-        TracePhase::End => {}
+        Phase::End => {}
     }
     Json::Obj(fields)
 }
@@ -276,7 +273,7 @@ mod tests {
     #[test]
     fn event_json_shapes() {
         let b = event_json(&Event {
-            phase: TracePhase::Begin,
+            phase: Phase::Begin,
             path: "core.tub/core.tub.apsp".into(),
             tid: 3,
             ts_ns: 1_500,
@@ -285,11 +282,13 @@ mod tests {
         assert_eq!(b.get("ph").and_then(Json::as_str), Some("B"));
         assert_eq!(b.get("ts").and_then(Json::as_f64), Some(1.5));
         assert_eq!(
-            b.get("args").and_then(|a| a.get("path")).and_then(Json::as_str),
+            b.get("args")
+                .and_then(|a| a.get("path"))
+                .and_then(Json::as_str),
             Some("core.tub/core.tub.apsp")
         );
         let i = event_json(&Event {
-            phase: TracePhase::Instant,
+            phase: Phase::Instant,
             path: "cache.hit".into(),
             tid: 1,
             ts_ns: 0,
@@ -297,7 +296,7 @@ mod tests {
         assert_eq!(i.get("ph").and_then(Json::as_str), Some("i"));
         assert_eq!(i.get("s").and_then(Json::as_str), Some("t"));
         let e = event_json(&Event {
-            phase: TracePhase::End,
+            phase: Phase::End,
             path: "core.tub".into(),
             tid: 1,
             ts_ns: 2_000,

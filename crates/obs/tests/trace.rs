@@ -12,8 +12,14 @@ use std::collections::HashMap;
 
 #[test]
 fn flushed_trace_round_trips_and_pairs() {
-    dcn_trace::install();
-    assert!(dcn_trace::active());
+    let dir = std::env::temp_dir().join(format!("dcn_trace_test_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("out.trace.json");
+    // The only test in this binary, so setting the variable cannot race
+    // another test's read of it.
+    std::env::set_var("DCN_TRACE_FILE", &path);
+    assert!(dcn_obs::trace::init_from_env());
+    assert!(dcn_obs::trace::active());
 
     {
         let _outer = dcn_obs::span!("test.outer");
@@ -31,10 +37,7 @@ fn flushed_trace_round_trips_and_pairs() {
     .join()
     .expect("worker thread");
 
-    let dir = std::env::temp_dir().join(format!("dcn_trace_test_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let path = dir.join("out.trace.json");
-    let n = dcn_trace::flush_to_file(&path).expect("flush");
+    let n = dcn_obs::trace::flush_to_file(&path).expect("flush");
     // 3 span pairs + 1 instant on the main thread, 1 pair on the worker.
     assert!(n >= 9, "expected at least 9 events, got {n}");
 
@@ -57,7 +60,11 @@ fn flushed_trace_round_trips_and_pairs() {
         assert!(ts >= last_ts, "events must be sorted by timestamp");
         last_ts = ts;
         tids.insert(tid);
-        let name = ev.get("name").and_then(Json::as_str).expect("name").to_string();
+        let name = ev
+            .get("name")
+            .and_then(Json::as_str)
+            .expect("name")
+            .to_string();
         match ph {
             "B" => {
                 // Begin events carry the full hierarchical path in args.
@@ -92,7 +99,7 @@ fn flushed_trace_round_trips_and_pairs() {
     // A second flush is a superset rewrite, never a truncation.
     let _extra = dcn_obs::span!("test.later");
     drop(_extra);
-    let n2 = dcn_trace::flush_to_file(&path).expect("re-flush");
+    let n2 = dcn_obs::trace::flush_to_file(&path).expect("re-flush");
     assert!(n2 >= n + 2, "second flush must include earlier events");
 
     std::fs::remove_dir_all(&dir).ok();

@@ -213,6 +213,8 @@ impl CacheEntry for CachedCut {
 ///
 /// Memoized through the [`CacheHandle`] per `(topology, tries, seed)` —
 /// the partitioner is seeded, so equal keys reproduce the same cut.
+///
+/// [`CacheHandle`]: dcn_cache::CacheHandle
 pub fn bisection_bandwidth(
     topo: &Topology,
     tries: u32,

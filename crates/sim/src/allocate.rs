@@ -31,14 +31,6 @@ impl Allocation {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Mean flow rate.
-    pub fn mean_rate(&self) -> f64 {
-        if self.rates.is_empty() {
-            return 0.0;
-        }
-        self.rates.iter().sum::<f64>() / self.rates.len() as f64
-    }
-
     /// Jain's fairness index: `(Σ r)^2 / (n Σ r^2)`; 1.0 = perfectly fair.
     pub fn jain_index(&self) -> f64 {
         let n = self.rates.len() as f64;
@@ -255,7 +247,6 @@ mod tests {
         let t = line3();
         let a = max_min_rates(&t, &[]);
         assert!(a.rates.is_empty());
-        assert_eq!(a.mean_rate(), 0.0);
         assert_eq!(a.jain_index(), 1.0);
     }
 }

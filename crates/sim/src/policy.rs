@@ -2,7 +2,7 @@
 
 use crate::flows::{Flow, RoutedFlow};
 use crate::SimError;
-use dcn_graph::{ksp, Graph, NodeId};
+use dcn_graph::{ksp, EdgeIndex, Graph};
 use dcn_model::Topology;
 use rand::rngs::StdRng;
 use dcn_guard::Budget;
@@ -36,6 +36,7 @@ impl PathPolicy {
         seed: u64,
     ) -> Result<Vec<RoutedFlow>, SimError> {
         let graph = topo.graph().coalesced();
+        let index = EdgeIndex::new(&graph);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut cache = PathCache::new(&graph);
         let k_set = topo.switches_with_servers();
@@ -75,30 +76,16 @@ impl PathPolicy {
                     }
                 }
             };
-            out.push(RoutedFlow {
-                flow,
-                links: nodes_to_links(&graph, &nodes),
-            });
+            // Directed-link index of each hop: `2 * edge + forward`.
+            let links = index
+                .hops(&nodes)
+                .into_iter()
+                .map(|(e, fwd)| 2 * e as usize + usize::from(fwd))
+                .collect();
+            out.push(RoutedFlow { flow, links });
         }
         Ok(out)
     }
-}
-
-/// Converts a node path to directed-link indices (`2*edge + dir`).
-fn nodes_to_links(graph: &Graph, nodes: &[NodeId]) -> Vec<usize> {
-    let mut lookup: HashMap<(NodeId, NodeId), u32> = HashMap::new();
-    for (e, &(u, v)) in graph.edges().iter().enumerate() {
-        lookup.insert((u, v), e as u32);
-        lookup.insert((v, u), e as u32);
-    }
-    nodes
-        .windows(2)
-        .map(|w| {
-            let e = lookup[&(w[0], w[1])];
-            let (a, _) = graph.edge(e);
-            2 * e as usize + usize::from(a == w[0])
-        })
-        .collect()
 }
 
 /// Per-pair shortest/KSP path cache. VLB and looped workloads hammer the

@@ -317,7 +317,7 @@ mod tests {
             assert_eq!(t.used_ports(u), 4.0, "switch {u}");
         }
         // Leaf-to-leaf worst case distance: 4 hops (edge-agg-core-agg-edge).
-        assert_eq!(t.graph().diameter(), 4);
+        assert_eq!(t.graph().diameter(), Ok(4));
     }
 
     #[test]
@@ -381,7 +381,7 @@ mod tests {
         // 4 leaves, each 2 servers + 2 uplinks; cores = 2*4/4 = 2.
         assert_eq!(t.n_servers(), 8);
         assert_eq!(t.n_switches(), 6);
-        assert_eq!(t.graph().diameter(), 2);
+        assert_eq!(t.graph().diameter(), Ok(2));
     }
 
     #[test]

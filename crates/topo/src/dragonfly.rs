@@ -107,7 +107,7 @@ mod tests {
     fn diameter_is_small() {
         // Dragonfly diameter is 3 (local, global, local).
         let t = dragonfly(2, 4, 2).unwrap();
-        assert!(t.graph().diameter() <= 3);
+        assert!(t.graph().diameter().unwrap() <= 3);
     }
 
     #[test]

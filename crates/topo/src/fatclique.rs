@@ -296,7 +296,7 @@ mod tests {
         assert_eq!(t.n_switches(), 12);
         // degree = (3-1) + (4-1) = 5, H = 5 everywhere.
         assert_eq!(t.class(), TopoClass::UniRegular { h: 5 });
-        assert_eq!(t.graph().diameter(), 2);
+        assert_eq!(t.graph().diameter(), Ok(2));
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! paper studies, plus the lifecycle operations its evaluation needs.
 //!
 //! **Uni-regular** (every switch hosts servers):
-//! * [`jellyfish`] — random regular graphs (Singla et al., NSDI'12).
-//! * [`xpander`] — deterministic-degree expanders built as random lifts of a
+//! * [`jellyfish`](mod@jellyfish) — random regular graphs (Singla et al., NSDI'12).
+//! * [`xpander`](mod@xpander) — deterministic-degree expanders built as random lifts of a
 //!   complete graph (Valadarsky et al., CoNEXT'16).
-//! * [`fatclique`] — three-level clique-of-cliques (Zhang et al., NSDI'19);
+//! * [`fatclique`](mod@fatclique) — three-level clique-of-cliques (Zhang et al., NSDI'19);
 //!   server counts may differ by one across switches.
 //!
 //! **Bi-regular** (Clos family; only leaves host servers):

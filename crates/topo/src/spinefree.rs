@@ -1,6 +1,6 @@
 //! Spine-free (pod-level) fabrics — §6 of the paper.
 //!
-//! In a spine-free datacenter [22], the top layer of a Clos is removed and
+//! In a spine-free datacenter \[22\], the top layer of a Clos is removed and
 //! aggregation pods connect *directly* to each other; pods carry transit
 //! traffic for other pods. At the pod level the fabric is effectively a
 //! uni-regular topology whose "switches" are pods, whose `H` is the number
@@ -106,7 +106,7 @@ mod tests {
         assert_eq!(t.n_switches(), 8);
         assert_eq!(t.n_servers(), 512);
         assert_eq!(t.graph().m(), 28);
-        assert_eq!(t.graph().diameter(), 1);
+        assert_eq!(t.graph().diameter(), Ok(1));
         // Trunked capacity: total = 28 * 4.
         assert_eq!(t.e_links(), 112.0);
     }

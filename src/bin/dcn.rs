@@ -93,15 +93,6 @@ fn main() -> ExitCode {
     }
 }
 
-fn family_of(name: &str) -> Option<Family> {
-    match name {
-        "jellyfish" => Some(Family::Jellyfish),
-        "xpander" => Some(Family::Xpander),
-        "fatclique" => Some(Family::FatClique),
-        _ => None,
-    }
-}
-
 fn cmd_gen(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let kind = args
         .positional
@@ -121,7 +112,7 @@ fn cmd_gen(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             spine_uplink_fraction: args.get("spine-fraction", 1.0),
             leaf_servers: args.get("leaf-servers", 0),
         })?,
-        other => family_of(other)
+        other => Family::from_name(other)
             .ok_or_else(|| format!("unknown family '{other}'"))?
             .build(switches, radix, h, seed)?,
     };
@@ -192,7 +183,7 @@ fn cmd_frontier(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         .positional
         .first()
         .ok_or("frontier needs a family name")?;
-    let family = family_of(kind).ok_or_else(|| format!("unknown family '{kind}'"))?;
+    let family = Family::from_name(kind).ok_or_else(|| format!("unknown family '{kind}'"))?;
     let radix: u32 = args.get("radix", 14);
     let h: u32 = args.get("h", 4);
     let max_switches: usize = args.get("max-switches", 1024);
@@ -291,10 +282,10 @@ mod tests {
 
     #[test]
     fn family_lookup() {
-        assert!(family_of("jellyfish").is_some());
-        assert!(family_of("xpander").is_some());
-        assert!(family_of("fatclique").is_some());
-        assert!(family_of("fattree").is_none()); // handled separately in gen
-        assert!(family_of("nonsense").is_none());
+        assert!(Family::from_name("jellyfish").is_some());
+        assert!(Family::from_name("xpander").is_some());
+        assert!(Family::from_name("fatclique").is_some());
+        assert!(Family::from_name("fattree").is_none()); // handled separately in gen
+        assert!(Family::from_name("nonsense").is_none());
     }
 }
