@@ -86,7 +86,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             .into());
         }
     }
-    table.finish();
+    table.finish()?;
     println!("(asserted: switch-level bound == server-level bound on every row)");
     Ok(())
 }

@@ -134,7 +134,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         ]);
     }
     }
-    t.finish();
+    t.finish()?;
 
     let mut c = Table::new("delta_counters", &["counter", "value"]);
     for name in [
@@ -144,6 +144,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         c.row(&[&name, &dcn_obs::counter_value(name)]);
     }
-    c.finish();
+    c.finish()?;
     Ok(())
 }

@@ -61,7 +61,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             &f3(rms_deviation(&pts)),
         ]);
     }
-    ta.finish();
-    tb.finish();
+    ta.finish()?;
+    tb.finish()?;
     Ok(())
 }

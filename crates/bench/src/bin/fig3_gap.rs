@@ -89,6 +89,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    table.finish();
+    table.finish()?;
     Ok(())
 }

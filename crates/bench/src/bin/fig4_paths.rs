@@ -49,7 +49,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             &f3(1.0 - mcf.shortest_path_fraction),
         ]);
     }
-    ta.finish();
+    ta.finish()?;
 
     // (b) Pairwise shortest-path counts in the maximal permutation.
     let sizes_b: &[usize] = if quick_mode() {
@@ -86,6 +86,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             &min_cnt,
         ]);
     }
-    tb.finish();
+    tb.finish()?;
     Ok(())
 }

@@ -84,7 +84,7 @@ fn run_small(family: Family, radix: u32, h: u32) -> Result<(), Box<dyn std::erro
             ]);
         }
     }
-    table.finish();
+    table.finish()?;
     Ok(())
 }
 
@@ -132,6 +132,6 @@ fn run_large(family: Family, radix: u32, h: u32) -> Result<(), Box<dyn std::erro
             ]);
         }
     }
-    table.finish();
+    table.finish()?;
     Ok(())
 }

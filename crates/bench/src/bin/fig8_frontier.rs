@@ -87,7 +87,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             &show(pair.get(1)),
         ]);
     }
-    table.finish();
+    table.finish()?;
     println!(
         "(search capped at {max_switches} switches; a frontier equal to the cap's server count means 'beyond cap')"
     );

@@ -9,13 +9,18 @@
 //! cost advantage over Clos from ~50% to ~25%; the effect worsens with
 //! switch radix.
 
-use dcn_bench::{f3, quick_mode, Table};
+use dcn_bench::{f3, quick_mode, run_guarded, Table};
 use dcn_core::cost::{min_clos_switches, min_uniregular_switches};
 use dcn_core::frontier::{Criterion, Family};
 use dcn_core::MatchingBackend;
 use dcn_cache::SolveCtx;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    run_guarded("fig9_cost", run)
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let cache = dcn_bench::cache();
     let sctx = SolveCtx::unlimited(&cache);
     let backend = MatchingBackend::Auto { exact_below: 600 };
@@ -59,7 +64,7 @@ fn main() {
             }
         }
     }
-    ta.finish();
+    ta.finish()?;
 
     // Panel (c): Jellyfish full-tub vs full-bbw switch overhead across
     // radices, with N sized to a 1/8th 3-layer Clos of that radix.
@@ -101,5 +106,6 @@ fn main() {
             _ => tc.row(&[&r, &n, &"-", &"-", &"-"]),
         }
     }
-    tc.finish();
+    tc.finish()?;
+    Ok(())
 }

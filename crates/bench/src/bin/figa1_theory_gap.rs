@@ -41,6 +41,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             &f3(gap),
         ]);
     }
-    table.finish();
+    table.finish()?;
     Ok(())
 }

@@ -56,6 +56,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             None => table.row(&[&r, &ft_switches, &ft_servers, &"-", &"-"]),
         }
     }
-    table.finish();
+    table.finish()?;
     Ok(())
 }

@@ -6,13 +6,18 @@
 //! is required; the advantage only re-appears at much larger scale.
 //! Scaled: fat-trees of radix 8..14.
 
-use dcn_bench::{quick_mode, Table};
+use dcn_bench::{quick_mode, run_guarded, Table};
 use dcn_core::cost::min_uniregular_switches;
 use dcn_core::frontier::{Criterion, Family};
 use dcn_core::MatchingBackend;
 use dcn_topo::ClosParams;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    run_guarded("figa3_xpander_ft", run)
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let cache = dcn_bench::cache();
     let sctx = dcn_cache::SolveCtx::unlimited(&cache);
     let radices: &[u32] = if quick_mode() { &[8, 10] } else { &[8, 10, 12, 14] };
@@ -44,5 +49,6 @@ fn main() {
             None => table.row(&[&r, &n, &ft_switches, &"-", &"-"]),
         }
     }
-    table.finish();
+    table.finish()?;
+    Ok(())
 }

@@ -48,6 +48,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             ]);
         }
     }
-    table.finish();
+    table.finish()?;
     Ok(())
 }

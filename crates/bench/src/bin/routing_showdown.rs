@@ -72,6 +72,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             emit(name, alloc.worst_service(&routed));
         }
     }
-    table.finish();
+    table.finish()?;
     Ok(())
 }

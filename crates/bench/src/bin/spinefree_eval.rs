@@ -73,7 +73,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             &f3(mcf),
         ]);
     }
-    table.finish();
+    table.finish()?;
     println!(
         "(equal total trunk capacity per row. Note tub's looseness on diameter-1 \
          fabrics: with every pair one hop apart, Equation 1 counts no transit, \

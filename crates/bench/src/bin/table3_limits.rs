@@ -7,11 +7,16 @@
 //! The BBW columns, which the paper pushed past 20M servers with METIS,
 //! are evaluated here at a scaled radix via the frontier search.
 
-use dcn_bench::{quick_mode, Table};
+use dcn_bench::{quick_mode, run_guarded, Table};
 use dcn_core::frontier::{frontier_max_servers, Criterion, Family};
 use dcn_core::universal::max_full_throughput_servers;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    run_guarded("table3_limits", run)
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let cache = dcn_bench::cache();
     let sctx = dcn_cache::SolveCtx::unlimited(&cache);
     // Analytic Equation-3 limits at the paper's parameters.
@@ -23,12 +28,12 @@ fn main() {
             .unwrap_or_else(|| "-".into());
         ta.row(&[&32, &h, &n]);
     }
-    ta.finish();
+    ta.finish()?;
 
     // Scaled full-BBW frontiers for the three families (paper: ">20M").
     if quick_mode() {
         println!("(skipping BBW frontier sweep in --quick mode)");
-        return;
+        return Ok(());
     }
     let radix = 14u32;
     let mut tb = Table::new(
@@ -52,5 +57,6 @@ fn main() {
             tb.row(&[&family.name(), &radix, &h, &show]);
         }
     }
-    tb.finish();
+    tb.finish()?;
+    Ok(())
 }

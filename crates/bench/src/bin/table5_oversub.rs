@@ -73,6 +73,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         &f3(o.bbw_fraction),
         &f3(o.tub_fraction),
     ]);
-    table.finish();
+    table.finish()?;
     Ok(())
 }

@@ -46,7 +46,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let ok = p.n_servers() == servers && p.n_switches() == switches;
         ta.row(&[&p.n_servers(), &p.layers, &p.n_switches(), &ok]);
     }
-    ta.finish();
+    ta.finish()?;
 
     // Part 2: constructed scaled instances, tub must be 1.00.
     let mut tb = Table::new(
@@ -93,6 +93,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             &f3(t.bound),
         ]);
     }
-    tb.finish();
+    tb.finish()?;
     Ok(())
 }

@@ -21,7 +21,6 @@
 
 use std::fmt::Display;
 use std::fs;
-use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -248,28 +247,26 @@ impl Table {
     }
 
     /// Writes the table as `results/<name>.csv`.
-    pub fn write_csv(&self) {
-        let dir = match results_dir() {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("{e}");
-                return;
-            }
-        };
-        let path = dir.join(format!("{}.csv", self.name));
-        let mut f = fs::File::create(&path).expect("create csv");
-        writeln!(f, "{}", self.header.join(",")).unwrap();
+    pub fn write_csv(&self) -> Result<(), Box<dyn std::error::Error>> {
+        let path = results_dir()?.join(format!("{}.csv", self.name));
+        let mut csv = self.header.join(",") + "\n";
         for row in &self.rows {
-            writeln!(f, "{}", row.join(",")).unwrap();
+            csv += &row.join(",");
+            csv.push('\n');
         }
+        fs::write(&path, csv).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         dcn_obs::obs_log!("wrote {}", path.display());
+        Ok(())
     }
 
-    /// Print + CSV + manifest sidecar in one call.
-    pub fn finish(&self) {
+    /// Print + CSV + manifest sidecar in one call. The manifest (and an
+    /// explicit `DCN_TRACE_FILE`) is written even when the CSV cannot be;
+    /// the CSV's error is returned, so the binary exits non-zero.
+    pub fn finish(&self) -> Result<(), Box<dyn std::error::Error>> {
         self.print();
-        self.write_csv();
+        let csv = self.write_csv();
         write_manifest(&self.name);
+        csv
     }
 }
 
@@ -346,7 +343,7 @@ mod tests {
         t.row(&[&1, &f3(0.5)]);
         t.row(&[&22, &"x"]);
         t.print();
-        t.write_csv();
+        t.write_csv().unwrap();
         let path = results_dir().unwrap().join("unit_test_table.csv");
         let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(content, "a,b\n1,0.500\n22,x\n");
@@ -364,7 +361,7 @@ mod tests {
     fn finish_writes_manifest_sidecar() {
         let mut t = Table::new("unit_test_manifest", &["x"]);
         t.row(&[&1]);
-        t.finish();
+        t.finish().unwrap();
         let dir = results_dir().unwrap();
         let mpath = dir.join("unit_test_manifest.manifest.json");
         let text = std::fs::read_to_string(&mpath).unwrap();

@@ -1,11 +1,12 @@
 //! An experiment must flush its buffered trace events whether it ends
 //! normally or dies mid-cell. A panicking body must also flush its partial
 //! manifest: the post-mortem a human (or a sweep script) reads after a run
-//! dies.
+//! dies. A run that cannot write its CSV must fail, and only
+//! `DCN_OBS=trace` prints `obs_log!` lines.
 //!
 //! Each run happens in a child process (this test binary re-invoked with
-//! an env gate), because the tracer and the panic hook are process-global
-//! state, and the panicking child's job is to die.
+//! an env gate), because the tracer, the obs mode and the panic hook are
+//! process-global state, and the panicking child's job is to die.
 
 #![expect(
     clippy::disallowed_methods,
@@ -14,7 +15,7 @@
 
 use dcn_obs::json::Json;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, ExitCode, Output};
 
 const WORKER_ENV: &str = "DCN_BENCH_TEST_PANIC_DIR";
 const TABLE_ENV: &str = "DCN_BENCH_TEST_TABLE_DIR";
@@ -81,49 +82,103 @@ fn panic_flushes_manifest_and_trace() {
 }
 
 /// Child-process entrypoint (gated on [`TABLE_ENV`]); a no-op in the
-/// normal suite. Finishes a one-row table, with one span inside the run.
+/// normal suite. Finishes a one-row table under `run_guarded`, with one
+/// span inside the run, and exits 1 when the run fails.
 #[test]
 fn finished_table_entry() {
     if std::env::var(TABLE_ENV).is_err() {
         return;
     }
-    let mut t = dcn_bench::Table::new("trace_probe", &["cell", "value"]);
-    let (value, _) = dcn_bench::timed(|| 6 * 7);
-    t.row(&[&"answer", &value]);
-    t.finish();
+    let code = dcn_bench::run_guarded("trace_probe", || {
+        let mut t = dcn_bench::Table::new("trace_probe", &["cell", "value"]);
+        let (value, _) = dcn_bench::timed(|| 6 * 7);
+        t.row(&[&"answer", &value]);
+        t.finish()
+    });
+    if code != ExitCode::SUCCESS {
+        std::process::exit(1);
+    }
 }
 
-/// Runs [`finished_table_entry`] in a child with its results in `dir`,
-/// traced to `trace` when given. Returns the table block of its stdout
-/// (the test harness's own lines carry timings) and its CSV.
-fn finish_table_in_child(dir: &Path, trace: Option<&Path>) -> (String, String) {
-    let _ = std::fs::remove_dir_all(dir);
-    std::fs::create_dir_all(dir).expect("create results dir");
+/// Runs [`finished_table_entry`] in a child with `DCN_RESULTS_DIR=results`
+/// and `DCN_OBS=obs`, traced to `trace` when given.
+fn table_child(results: &Path, trace: Option<&Path>, obs: &str) -> Output {
     let mut cmd = Command::new(std::env::current_exe().expect("current_exe"));
     cmd.args(["finished_table_entry", "--exact", "--nocapture"])
         .env(TABLE_ENV, "1")
-        .env("DCN_RESULTS_DIR", dir)
-        .env("DCN_OBS", "off")
+        .env("DCN_RESULTS_DIR", results)
+        .env("DCN_OBS", obs)
         .env_remove("DCN_TRACE_FILE");
     if let Some(trace) = trace {
         cmd.env("DCN_TRACE_FILE", trace);
     }
-    let out = cmd.output().expect("spawn table child");
+    cmd.output().expect("spawn table child")
+}
+
+/// [`table_child`] with its results in a fresh `dir`; the run must
+/// succeed. Returns the table block of its stdout (the test harness's own
+/// lines carry timings), its CSV and its stderr.
+fn finish_table_in_child(dir: &Path, trace: Option<&Path>, obs: &str) -> (String, String, String) {
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).expect("create results dir");
+    let out = table_child(dir, trace, obs);
     assert!(out.status.success(), "table child failed: {out:?}");
     let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
     let start = stdout.find("== trace_probe ==").expect("table printed");
     let len = stdout[start..].find("\n\n").expect("table block ends") + 2;
     let csv = std::fs::read_to_string(dir.join("trace_probe.csv")).expect("csv written");
-    (stdout[start..start + len].to_string(), csv)
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    (stdout[start..start + len].to_string(), csv, stderr)
+}
+
+/// `obs_log!` lines belong to `DCN_OBS=trace`: a `summary` run prints the
+/// registry summary and no `wrote` line, and a `trace` run names the CSV
+/// it wrote.
+#[test]
+fn wrote_lines_are_trace_only() {
+    let root = std::env::temp_dir().join(format!("dcn-bench-obs-{}", std::process::id()));
+    let (_, _, summary) = finish_table_in_child(&root.join("summary"), None, "summary");
+    assert!(
+        summary.contains("-- dcn-obs summary (mode=summary) --"),
+        "{summary}"
+    );
+    assert!(!summary.contains("wrote "), "{summary}");
+
+    let dir = root.join("trace");
+    let (_, _, trace) = finish_table_in_child(&dir, None, "trace");
+    let csv = dir.join("trace_probe.csv");
+    assert!(
+        trace.contains(&format!("wrote {}", csv.display())),
+        "{trace}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A results dir that cannot be created fails the run with a message
+/// instead of a panic, so a sweep script sees the failure.
+#[test]
+fn unwritable_results_dir_fails_the_run() {
+    let root = std::env::temp_dir().join(format!("dcn-bench-nodir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).expect("create scratch dir");
+    let file = root.join("file");
+    std::fs::write(&file, "").expect("create a regular file");
+
+    let out = table_child(&file.join("results"), None, "off");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "the run must fail: {stderr}");
+    assert!(stderr.contains("cannot create results dir"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
 fn normal_exit_exports_trace_without_changing_output() {
     let root = std::env::temp_dir().join(format!("dcn-bench-trace-{}", std::process::id()));
     let trace = root.join("trace_probe.trace.json");
-    let traced = finish_table_in_child(&root.join("traced"), Some(&trace));
-    let plain = finish_table_in_child(&root.join("plain"), None);
-    assert_eq!(traced, plain, "tracing changed stdout or the CSV");
+    let traced = finish_table_in_child(&root.join("traced"), Some(&trace), "off");
+    let plain = finish_table_in_child(&root.join("plain"), None, "off");
+    assert_eq!(traced, plain, "tracing changed stdout, the CSV or stderr");
     assert_eq!(plain.1, "cell,value\nanswer,42\n");
 
     let text = std::fs::read_to_string(&trace).expect("trace written on a normal exit");

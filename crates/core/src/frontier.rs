@@ -54,12 +54,7 @@ impl Family {
         h: u32,
         seed: u64,
     ) -> Result<Topology, CoreError> {
-        if radix <= h {
-            return Err(CoreError::OutOfRegime(format!(
-                "radix {radix} must exceed H {h}"
-            )));
-        }
-        let r_net = (radix - h) as usize;
+        let r_net = network_ports(radix, h)? as usize;
         let mut rng = StdRng::seed_from_u64(seed);
         let topo = match self {
             Family::Jellyfish => {
@@ -86,6 +81,15 @@ impl Family {
         };
         Ok(topo)
     }
+}
+
+/// The ports a switch of radix `radix` has left for the network after its
+/// `h` servers; uni-regular families need at least one.
+fn network_ports(radix: u32, h: u32) -> Result<u32, CoreError> {
+    radix
+        .checked_sub(h)
+        .filter(|&r| r > 0)
+        .ok_or_else(|| CoreError::OutOfRegime(format!("radix {radix} must exceed H {h}")))
 }
 
 /// Capacity criterion a frontier is drawn against.
@@ -127,7 +131,8 @@ pub fn satisfies(
 /// Satisfaction is treated as monotone in size (true for these families in
 /// the paper's regime up to instance noise); a doubling scan brackets the
 /// transition and binary search pins it down. Returns `None` when even the
-/// smallest instance fails.
+/// smallest instance fails, and [`CoreError::OutOfRegime`] when `radix`
+/// does not exceed `h`.
 pub fn frontier_max_servers(
     family: Family,
     radix: u32,
@@ -137,7 +142,7 @@ pub fn frontier_max_servers(
     seed: u64,
     ctx: &SolveCtx<'_>,
 ) -> Result<Option<u64>, CoreError> {
-    let min_switches = ((radix - h) as usize + 2).max(4);
+    let min_switches = (network_ports(radix, h)? as usize + 2).max(4);
     let check = |n_switches: usize| -> Result<Option<u64>, CoreError> {
         let topo = match family.build(n_switches, radix, h, seed) {
             Ok(t) => t,
@@ -371,5 +376,21 @@ mod tests {
     #[test]
     fn radix_must_exceed_h() {
         assert!(Family::Jellyfish.build(10, 4, 4, 1).is_err());
+    }
+
+    #[test]
+    fn frontier_rejects_radix_not_above_h() {
+        let full = Criterion::FullThroughput {
+            backend: MatchingBackend::Exact,
+        };
+        for (radix, h) in [(4, 8), (4, 4)] {
+            let err =
+                frontier_max_servers(Family::Jellyfish, radix, h, full, 64, 1, &unlimited_ctx())
+                    .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("out of regime: radix {radix} must exceed H {h}")
+            );
+        }
     }
 }

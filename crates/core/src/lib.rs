@@ -24,21 +24,17 @@
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-pub mod birkhoff;
 pub mod cost;
 pub(crate) mod delta;
 pub mod expansion_eval;
 pub mod frontier;
 pub mod lower;
-pub mod nearworst;
 pub mod oversub;
 pub mod report;
 pub mod resilience;
 pub mod tub;
 pub mod universal;
 
-pub use birkhoff::{birkhoff_decompose, BirkhoffComponent};
-pub use nearworst::{adversarial_search, AdversarialResult};
 pub use report::{report_card, ReportCard};
 pub use tub::{tub, MatchingBackend, TubResult};
 

@@ -2,8 +2,8 @@
 //!
 //! The paper's evaluation is dominated by embarrassingly-parallel sweeps —
 //! TUB over topology families, resilience curves over hundreds of random
-//! failure samples, per-commodity KSP path enumeration, near-worst traffic
-//! search. Every one of those is a list of independent solves, and this
+//! failure samples, per-commodity KSP path enumeration, frontier cells.
+//! Every one of those is a list of independent solves, and this
 //! crate is the one place in the workspace allowed to spawn threads to run
 //! them concurrently.
 //!

@@ -141,21 +141,6 @@ impl DistMatrix {
         debug_assert_ne!(row, u32::MAX, "node {u} is not a source row");
         &self.data[row as usize * self.n..(row as usize + 1) * self.n]
     }
-
-    /// Maximum distance present among source-to-source pairs.
-    pub fn max_source_to_source(&self) -> u16 {
-        let mut best = 0;
-        for &u in &self.sources {
-            let row = self.row(u);
-            for &v in &self.sources {
-                let d = row[v as usize];
-                if d > best {
-                    best = d;
-                }
-            }
-        }
-        best
-    }
 }
 
 /// Scratch words of the multi-source BFS, allocated once per
@@ -483,7 +468,6 @@ mod tests {
         let d = DistMatrix::from_sources(&path(n), &[0, 40_000]).unwrap();
         assert_eq!(d.dist(0, n as NodeId - 1), 65_534);
         assert_eq!(d.dist(40_000, 0), 40_000);
-        assert_eq!(d.max_source_to_source(), 40_000);
     }
 
     #[test]
@@ -539,7 +523,6 @@ mod tests {
         assert_eq!(d.dist(0, 3), 2);
         assert_eq!(d.dist(1, 4), 2);
         assert_eq!(d.dist(2, 2), 0);
-        assert_eq!(d.max_source_to_source(), 2);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub use csr::{EdgeId, EdgeIndex, Graph, NodeId};
 pub use dist::DistMatrix;
 pub use ksp::Path;
 pub use maxflow::{edge_connectivity, max_flow_value, MaxFlow};
-pub use spectral::{adjacency_lambda2, is_near_ramanujan};
+pub use spectral::adjacency_lambda2;
 
 /// Errors produced while constructing or querying graphs.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -783,99 +783,6 @@ mod tests {
     }
 }
 
-/// Unweighted bipartite perfect matching (Kuhn's augmenting-path
-/// algorithm, `O(V * E)`). `adj[u]` lists the right-side vertices `u` may
-/// match. Returns `assignment[u] = v` covering every left vertex, or
-/// `None` when no perfect matching exists.
-///
-/// Used by the Birkhoff–von Neumann decomposition (Theorem 2.1 of the
-/// paper): the support of a saturated hose traffic matrix always contains
-/// a perfect matching, which is peeled off as a permutation component.
-pub fn bipartite_perfect_matching(n: usize, adj: &[Vec<usize>]) -> Option<Vec<usize>> {
-    assert_eq!(adj.len(), n, "adjacency must cover every left vertex");
-    let mut match_right: Vec<Option<usize>> = vec![None; n];
-    let mut match_left: Vec<Option<usize>> = vec![None; n];
-
-    fn try_kuhn(
-        u: usize,
-        adj: &[Vec<usize>],
-        visited: &mut [bool],
-        match_right: &mut [Option<usize>],
-        match_left: &mut [Option<usize>],
-    ) -> bool {
-        for &v in &adj[u] {
-            if visited[v] {
-                continue;
-            }
-            visited[v] = true;
-            let free = match match_right[v] {
-                None => true,
-                Some(w) => try_kuhn(w, adj, visited, match_right, match_left),
-            };
-            if free {
-                match_right[v] = Some(u);
-                match_left[u] = Some(v);
-                return true;
-            }
-        }
-        false
-    }
-
-    for u in 0..n {
-        let mut visited = vec![false; n];
-        if !try_kuhn(u, adj, &mut visited, &mut match_right, &mut match_left) {
-            return None;
-        }
-    }
-    // Every left vertex was matched by try_kuhn; collect() re-checks that
-    // instead of asserting it.
-    match_left.into_iter().collect()
-}
-
-#[cfg(test)]
-mod bipartite_tests {
-    use super::*;
-
-    #[test]
-    fn identity_matching() {
-        let adj = vec![vec![0], vec![1], vec![2]];
-        assert_eq!(bipartite_perfect_matching(3, &adj), Some(vec![0, 1, 2]));
-    }
-
-    #[test]
-    fn forced_chain() {
-        // 0 can take {0,1}, 1 only {0}, so 0 must take 1.
-        let adj = vec![vec![0, 1], vec![0]];
-        assert_eq!(bipartite_perfect_matching(2, &adj), Some(vec![1, 0]));
-    }
-
-    #[test]
-    fn infeasible_detected() {
-        // Two left vertices forced onto the same right vertex.
-        let adj = vec![vec![0], vec![0]];
-        assert_eq!(bipartite_perfect_matching(2, &adj), None);
-    }
-
-    #[test]
-    fn complete_bipartite_always_matches() {
-        let n = 6;
-        let adj: Vec<Vec<usize>> = (0..n).map(|_| (0..n).collect()).collect();
-        let m = bipartite_perfect_matching(n, &adj).unwrap();
-        let mut seen = vec![false; n];
-        for &v in &m {
-            assert!(!seen[v]);
-            seen[v] = true;
-        }
-    }
-
-    #[test]
-    fn hall_violation() {
-        // Three lefts restricted to two rights.
-        let adj = vec![vec![0, 1], vec![0, 1], vec![0, 1]];
-        assert_eq!(bipartite_perfect_matching(3, &adj), None);
-    }
-}
-
 /// The eager Hungarian kernel the dense one replaced, kept as a test
 /// oracle: it calls the weight closure inside every column scan and
 /// updates every potential and `minv` entry at every step. The dense

@@ -20,13 +20,11 @@
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-pub mod delta;
 pub mod exact;
 pub mod fptas;
 pub mod pathset;
 pub mod routing;
 
-pub use delta::PairMemo;
 pub use pathset::{Commodity, PathSet, SharedPathSet};
 pub use routing::{ecmp_throughput, vlb_throughput};
 
@@ -270,30 +268,25 @@ pub fn ksp_mcf_throughput(
 ) -> Result<ThroughputResult, McfError> {
     let ps = PathSet::k_shortest_shared(topo, tm, k, ctx)?;
     ctx.cache.get_or_compute(
-        || theta_key(fabric_theta_key(topo), tm, k, engine),
+        || theta_key(topo, tm, k, engine),
         || throughput_on_paths(&ps.0, engine, ctx.budget),
     )
 }
 
-/// The topology part of a [`theta_key`], shared by every bracket solved
-/// on one fabric.
-pub(crate) fn fabric_theta_key(topo: &Topology) -> KeyBuilder {
-    KeyBuilder::new("mcf_theta").topology(topo)
-}
-
 /// Cache key for a solved KSP-MCF bracket: the path-set inputs plus the
 /// engine and its accuracy parameter. Budget excluded by design.
-pub(crate) fn theta_key(
-    fabric: KeyBuilder,
-    tm: &TrafficMatrix,
-    k: usize,
-    engine: Engine,
-) -> CacheKey {
+fn theta_key(topo: &Topology, tm: &TrafficMatrix, k: usize, engine: Engine) -> CacheKey {
     let (tag, eps) = match engine {
         Engine::Exact => (0u64, 0.0),
         Engine::Fptas { eps } => (1, eps),
     };
-    fabric.traffic(tm).u64(k as u64).u64(tag).f64(eps).finish()
+    KeyBuilder::new("mcf_theta")
+        .topology(topo)
+        .traffic(tm)
+        .u64(k as u64)
+        .u64(tag)
+        .f64(eps)
+        .finish()
 }
 
 /// Computes `θ(T)` over an explicit path set, under an execution

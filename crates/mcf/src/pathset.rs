@@ -107,35 +107,6 @@ impl CacheEntry for SharedPathSet {
     }
 }
 
-/// One ordered switch pair's admissible paths — up to `k` shortest
-/// loopless paths, resolved to hops through `index` — and their shortest
-/// length. [`PathSet::k_shortest`] and the delta layer's per-pair memo
-/// both build commodities through it, so their paths are bit-identical.
-/// A pair with no path fails with [`McfError::NoPath`].
-pub(crate) fn pair_paths(
-    graph: &Graph,
-    index: &EdgeIndex,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    budget: &Budget,
-) -> Result<(Vec<PathRepr>, usize), McfError> {
-    let raw = ksp::k_shortest_by_slack(graph, src, dst, k, u16::MAX, budget)
-        .map_err(McfError::Budget)?;
-    // min() is None exactly when no path was enumerated.
-    let Some(sp_len) = raw.iter().map(|p| p.len() - 1).min() else {
-        return Err(McfError::NoPath { src, dst });
-    };
-    let paths = raw
-        .into_iter()
-        .map(|nodes| PathRepr {
-            hops: index.hops(&nodes),
-            nodes,
-        })
-        .collect();
-    Ok((paths, sp_len))
-}
-
 impl PathSet {
     /// Builds path sets with up to `k` shortest paths per commodity.
     ///
@@ -160,8 +131,23 @@ impl PathSet {
         let index = EdgeIndex::new(&graph);
         let pool = dcn_exec::Pool::from_env();
         let commodities = pool.par_map(budget, tm.demands(), |_, d| {
-            let (paths, sp_len) = pair_paths(&graph, &index, d.src, d.dst, k, budget)?;
-            Ok::<_, McfError>(Commodity {
+            let raw = ksp::k_shortest_by_slack(&graph, d.src, d.dst, k, u16::MAX, budget)
+                .map_err(McfError::Budget)?;
+            // min() is None exactly when no path was enumerated.
+            let Some(sp_len) = raw.iter().map(|p| p.len() - 1).min() else {
+                return Err(McfError::NoPath {
+                    src: d.src,
+                    dst: d.dst,
+                });
+            };
+            let paths = raw
+                .into_iter()
+                .map(|nodes| PathRepr {
+                    hops: index.hops(&nodes),
+                    nodes,
+                })
+                .collect();
+            Ok(Commodity {
                 src: d.src,
                 dst: d.dst,
                 demand: d.amount,
@@ -187,13 +173,6 @@ impl PathSet {
             || pathset_key(topo, tm, k),
             || PathSet::k_shortest(topo, tm, k, ctx.budget).map(|ps| SharedPathSet(Arc::new(ps))),
         )
-    }
-
-    /// Assembles a path set from an already-coalesced graph and explicit
-    /// commodities (the delta layer's pruned-reuse path; see
-    /// [`crate::delta`]).
-    pub(crate) fn from_parts(graph: Graph, commodities: Vec<Commodity>) -> PathSet {
-        PathSet { graph, commodities }
     }
 
     /// The coalesced graph the paths live on.

@@ -407,13 +407,12 @@ macro_rules! histogram {
     }};
 }
 
-/// Emits a diagnostic line to stderr, gated on mode: silent when `off`,
-/// buffered into nothing when `summary` would be noisy — lines print in
-/// `summary` and `trace` modes only.
+/// Emits a diagnostic line to stderr in `trace` mode only; `off` and
+/// `summary` runs print nothing.
 #[macro_export]
 macro_rules! obs_log {
     ($($arg:tt)*) => {
-        if $crate::enabled() {
+        if $crate::mode() == $crate::Mode::Trace {
             eprintln!($($arg)*);
         }
     };

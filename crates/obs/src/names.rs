@@ -116,8 +116,6 @@ pub const CORE_LOWER: &str = "core.lower";
 pub const CORE_FRONTIER_CELL: &str = "core.frontier.cell";
 /// One resilience failure sample evaluated as a pool task (span).
 pub const CORE_RESILIENCE_SAMPLE: &str = "core.resilience.sample";
-/// One near-worst candidate TM evaluated as a pool task (span).
-pub const CORE_NEARWORST_CANDIDATE: &str = "core.nearworst.candidate";
 
 // --- dcn-exec --------------------------------------------------------------
 
@@ -188,9 +186,6 @@ pub const DELTA_MATCHING_PATCHED: &str = "delta.matching.patched";
 /// BFS distance rows a delta-TUB solve computes for its failure sample
 /// (counter).
 pub const DELTA_DIST_ROWS_REBUILT: &str = "delta.dist.rows_rebuilt";
-/// Per-commodity path enumerations served from a `PairMemo` instead of
-/// re-enumerated (counter).
-pub const DELTA_PATHS_REUSED: &str = "delta.paths.reused";
 
 // --- dcnd ------------------------------------------------------------------
 
@@ -251,7 +246,6 @@ pub const ALL: &[&str] = &[
     CORE_LOWER,
     CORE_FRONTIER_CELL,
     CORE_RESILIENCE_SAMPLE,
-    CORE_NEARWORST_CANDIDATE,
     EXEC_POOL_RUNS,
     EXEC_POOL_TASKS,
     EXEC_POOL_SHORT_CIRCUITS,
@@ -276,7 +270,6 @@ pub const ALL: &[&str] = &[
     DELTA_FALLBACK,
     DELTA_MATCHING_PATCHED,
     DELTA_DIST_ROWS_REBUILT,
-    DELTA_PATHS_REUSED,
     DCND_QUERIES_OK,
     DCND_QUERIES_REJECTED,
     DCND_QUERIES_ERROR,

@@ -97,156 +97,3 @@ mod tests {
         if let Ok(d) = fail_random_links(&t, 0.6, &mut rng) { assert!(d.graph().is_connected()) }
     }
 }
-
-/// Fails `count` whole switches chosen uniformly at random: all their
-/// links are removed and their servers are lost (a rack or line-card
-/// failure, the correlated-failure case the paper's introduction
-/// motivates placement flexibility with).
-///
-/// Server-hosting switches can be excluded (fail only spine/core) with
-/// `serverless_only`. Errors if the survivors are disconnected or no
-/// servers remain.
-pub fn fail_random_switches<R: Rng>(
-    topo: &Topology,
-    count: usize,
-    serverless_only: bool,
-    rng: &mut R,
-) -> Result<Topology, ModelError> {
-    let n = topo.n_switches();
-    let mut candidates: Vec<u32> = (0..n as u32)
-        .filter(|&u| !serverless_only || topo.servers_at(u) == 0)
-        .collect();
-    if count > candidates.len() {
-        return Err(ModelError::InfeasibleParams(format!(
-            "cannot fail {count} of {} candidate switches",
-            candidates.len()
-        )));
-    }
-    for _attempt in 0..16 {
-        candidates.shuffle(rng);
-        let dead: std::collections::HashSet<u32> =
-            candidates[..count].iter().copied().collect();
-        let removed: Vec<u32> = topo
-            .graph()
-            .edges()
-            .iter()
-            .enumerate()
-            .filter(|(_, &(u, v))| dead.contains(&u) || dead.contains(&v))
-            .map(|(e, _)| e as u32)
-            .collect();
-        let g = topo.graph().without_edges(&removed);
-        let mut servers = topo.servers().to_vec();
-        for &u in &dead {
-            servers[u as usize] = 0;
-        }
-        if servers.iter().all(|&s| s == 0) {
-            continue;
-        }
-        // Connectivity among the survivors (dead switches become isolated
-        // vertices; ignore them in the check).
-        let alive: Vec<u32> = (0..n as u32).filter(|u| !dead.contains(u)).collect();
-        if alive.is_empty() {
-            continue;
-        }
-        if g.reachable_count(alive[0]) == alive.len() {
-            let name = format!("{}-sw{count}", topo.name());
-            return Topology::new(g, servers, name);
-        }
-    }
-    Err(ModelError::InfeasibleParams(format!(
-        "failing {count} switches disconnects the survivors"
-    )))
-}
-
-/// Fails a contiguous block of switch ids `[start, start + len)` — a pod,
-/// power domain, or FatClique block, which occupy contiguous id ranges in
-/// every generator of this workspace.
-pub fn fail_switch_range(
-    topo: &Topology,
-    start: usize,
-    len: usize,
-) -> Result<Topology, ModelError> {
-    let n = topo.n_switches();
-    // checked_add: `start + len` must not wrap for adversarial usize inputs.
-    if start.checked_add(len).is_none_or(|end| end > n) || len == 0 {
-        return Err(ModelError::InfeasibleParams(format!(
-            "range {start}+{len} out of bounds for {n} switches"
-        )));
-    }
-    let dead: std::collections::HashSet<u32> =
-        (start as u32..(start + len) as u32).collect();
-    let removed: Vec<u32> = topo
-        .graph()
-        .edges()
-        .iter()
-        .enumerate()
-        .filter(|(_, &(u, v))| dead.contains(&u) || dead.contains(&v))
-        .map(|(e, _)| e as u32)
-        .collect();
-    let g = topo.graph().without_edges(&removed);
-    let mut servers = topo.servers().to_vec();
-    for &u in &dead {
-        servers[u as usize] = 0;
-    }
-    if servers.iter().all(|&s| s == 0) {
-        return Err(ModelError::NoServers);
-    }
-    let alive: Vec<u32> = (0..n as u32).filter(|u| !dead.contains(u)).collect();
-    if g.reachable_count(alive[0]) != alive.len() {
-        return Err(ModelError::InfeasibleParams(
-            "range failure disconnects the survivors".into(),
-        ));
-    }
-    Topology::new(g, servers, format!("{}-blk{start}+{len}", topo.name()))
-}
-
-#[cfg(test)]
-mod switch_failure_tests {
-    use super::*;
-    use crate::{fat_tree, jellyfish};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn switch_failures_remove_links_and_servers() {
-        let mut rng = StdRng::seed_from_u64(41);
-        let t = jellyfish(40, 8, 4, &mut rng).unwrap();
-        let d = fail_random_switches(&t, 4, false, &mut rng).unwrap();
-        assert_eq!(d.n_switches(), 40); // ids preserved, now isolated
-        assert_eq!(d.n_servers(), (40 - 4) * 4);
-        assert!(d.graph().m() < t.graph().m());
-    }
-
-    #[test]
-    fn serverless_only_preserves_servers() {
-        let t = fat_tree(4).unwrap();
-        let mut rng = StdRng::seed_from_u64(43);
-        let d = fail_random_switches(&t, 2, true, &mut rng).unwrap();
-        assert_eq!(d.n_servers(), t.n_servers());
-    }
-
-    #[test]
-    fn too_many_failures_rejected() {
-        let mut rng = StdRng::seed_from_u64(44);
-        let t = jellyfish(10, 4, 2, &mut rng).unwrap();
-        assert!(fail_random_switches(&t, 11, false, &mut rng).is_err());
-    }
-
-    #[test]
-    fn pod_failure_on_fat_tree() {
-        // Fat-tree k=4: edge switches 0..8 (pods of 2); kill pod 0's edges.
-        let t = fat_tree(4).unwrap();
-        let d = fail_switch_range(&t, 0, 2).unwrap();
-        assert_eq!(d.n_servers(), 16 - 4);
-        // The rest of the fabric still works at full throughput for its
-        // surviving servers (spines intact).
-        assert!(d.graph().m() < t.graph().m());
-    }
-
-    #[test]
-    fn bad_ranges_rejected() {
-        let t = fat_tree(4).unwrap();
-        assert!(fail_switch_range(&t, 18, 5).is_err());
-        assert!(fail_switch_range(&t, 0, 0).is_err());
-    }
-}

@@ -37,7 +37,7 @@ pub use clos::{fat_tree, folded_clos, ClosParams};
 pub use dragonfly::dragonfly;
 pub use f10::f10;
 pub use expansion::expand_by_rewiring;
-pub use failures::{fail_random_links, fail_random_switches, fail_switch_range};
+pub use failures::fail_random_links;
 pub use fatclique::{fatclique, FatCliqueParams};
 pub use jellyfish::jellyfish;
 pub use slimfly::slimfly;

@@ -1,9 +1,9 @@
-//! Property tests for the failure-injection helpers: whatever the inputs,
-//! they either return a usable degraded topology or a typed `ModelError` —
+//! Property tests for random link-failure injection: whatever the inputs,
+//! it either returns a usable degraded topology or a typed `ModelError` —
 //! never a panic, never a silently broken topology.
 
 use dcn_model::ModelError;
-use dcn_topo::{fail_random_links, fail_random_switches, fail_switch_range, jellyfish};
+use dcn_topo::{fail_random_links, jellyfish};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,50 +46,5 @@ proptest! {
             fail_random_links(&topo, hostile[pick], &mut rng),
             Err(ModelError::InfeasibleParams(_))
         ));
-    }
-
-    /// Switch failures for any count: Ok results keep switch ids stable
-    /// and drop exactly the dead switches' servers; infeasible counts are
-    /// typed errors.
-    #[test]
-    fn switch_failures_never_panic(count in 0usize..30, seed in any::<u64>()) {
-        let topo = small_jellyfish(19);
-        let mut rng = StdRng::seed_from_u64(seed);
-        match fail_random_switches(&topo, count, false, &mut rng) {
-            Ok(d) => {
-                prop_assert_eq!(d.n_switches(), topo.n_switches());
-                prop_assert_eq!(d.n_servers(), topo.n_servers() - count as u64 * 3);
-            }
-            Err(ModelError::InfeasibleParams(_) | ModelError::NoServers) => {}
-            Err(e) => prop_assert!(false, "unexpected error kind: {e}"),
-        }
-    }
-
-    /// Range failures for arbitrary (start, len), including values whose
-    /// sum would overflow usize: always Ok-or-typed-error.
-    #[test]
-    fn range_failures_never_panic(start in any::<usize>(), len in any::<usize>()) {
-        let topo = small_jellyfish(20);
-        match fail_switch_range(&topo, start, len) {
-            Ok(d) => {
-                prop_assert!(start + len <= topo.n_switches());
-                prop_assert!(len > 0);
-                prop_assert!(d.n_servers() < topo.n_servers());
-            }
-            Err(ModelError::InfeasibleParams(_) | ModelError::NoServers) => {}
-            Err(e) => prop_assert!(false, "unexpected error kind: {e}"),
-        }
-    }
-
-    /// In-bounds range failures on the same topology: stable outcome shape
-    /// (ids preserved, dead block's servers gone) whenever they succeed.
-    #[test]
-    fn in_bounds_range_failures_account_servers(start in 0usize..20, len in 1usize..8) {
-        let topo = small_jellyfish(21);
-        prop_assume!(start + len <= topo.n_switches());
-        if let Ok(d) = fail_switch_range(&topo, start, len) {
-            prop_assert_eq!(d.n_switches(), topo.n_switches());
-            prop_assert_eq!(d.n_servers(), topo.n_servers() - len as u64 * 3);
-        }
     }
 }

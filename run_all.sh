@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Runs every experiment binary, teeing output to results/logs/.
 # Usage: ./run_all.sh [--quick|--large]
-set -u
+# Exits non-zero when the build or any experiment fails; the remaining
+# experiments still run.
+set -u -o pipefail
 MODE="${1:-}"
 BINS=(
   fig3_gap
@@ -27,13 +29,20 @@ BINS=(
 )
 mkdir -p results/logs
 cargo build --release -p dcn-bench || exit 1
+FAILED=()
 for b in "${BINS[@]}"; do
   echo "### running $b $MODE"
-  cargo run --release -q -p dcn-bench --bin "$b" -- $MODE 2>&1 | tee "results/logs/$b.log"
+  cargo run --release -q -p dcn-bench --bin "$b" -- $MODE 2>&1 | tee "results/logs/$b.log" \
+    || FAILED+=("$b")
 done
 # fig5 additionally has a --large panel (Figure 5c/d).
 if [ "$MODE" != "--quick" ]; then
   echo "### running fig5_compare --large"
-  cargo run --release -q -p dcn-bench --bin fig5_compare -- --large 2>&1 | tee results/logs/fig5_large.log
+  cargo run --release -q -p dcn-bench --bin fig5_compare -- --large 2>&1 | tee results/logs/fig5_large.log \
+    || FAILED+=("fig5_compare --large")
+fi
+if [ ${#FAILED[@]} -gt 0 ]; then
+  echo "failed experiments: ${FAILED[*]} (logs in results/logs/)" >&2
+  exit 1
 fi
 echo "all experiments done; CSVs in results/, logs in results/logs/"

@@ -56,21 +56,14 @@ proptest! {
         prop_assert_eq!(back.graph().edges(), t.graph().edges());
     }
 
-    /// Workload generators always emit hose-feasible traffic.
+    /// The elephant-and-mice workload is always hose-feasible.
     #[test]
     fn workloads_are_hose_feasible((n, r, h, seed) in jelly_spec()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let t = jellyfish(n, r, h, &mut rng).unwrap();
-        let tms = vec![
-            workload::stride_permutation(&t, 1 + (seed as usize % (n - 1))).unwrap(),
-            workload::hotspot(&t, 2, 0.6, &mut rng).unwrap(),
-            workload::locality_mix(&t, 0.5, &mut rng).unwrap(),
-            workload::elephant_mice(&t, n / 4, 0.7, &mut rng).unwrap(),
-        ];
-        for tm in tms {
-            tm.check_hose(&t).unwrap();
-            prop_assert!(tm.total() > 0.0);
-        }
+        let tm = workload::elephant_mice(&t, n / 4, 0.7, &mut rng).unwrap();
+        tm.check_hose(&t).unwrap();
+        prop_assert!(tm.total() > 0.0);
     }
 
     /// Fluid routing models never beat capacity trivia: θ under ECMP/VLB
