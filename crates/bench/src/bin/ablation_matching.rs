@@ -5,10 +5,10 @@
 //! looser (but still sound) bound for large speedups.
 
 use dcn_bench::{f3, quick_mode, run_guarded, timed, Table};
+use dcn_cache::SolveCtx;
 use dcn_core::frontier::Family;
 use dcn_core::{tub, MatchingBackend};
 use std::process::ExitCode;
-use dcn_cache::SolveCtx;
 
 fn main() -> ExitCode {
     run_guarded("ablation_matching", run)

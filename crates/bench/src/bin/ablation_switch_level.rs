@@ -7,13 +7,13 @@
 //! and measures the speedup.
 
 use dcn_bench::{f3, quick_mode, run_guarded, timed, Table};
+use dcn_cache::SolveCtx;
 use dcn_core::frontier::Family;
 use dcn_core::{tub, MatchingBackend};
 use dcn_graph::DistMatrix;
+use dcn_guard::prelude::*;
 use dcn_match::hungarian_max;
 use std::process::ExitCode;
-use dcn_guard::prelude::*;
-use dcn_cache::SolveCtx;
 
 fn main() -> ExitCode {
     run_guarded("ablation_switch_level", run)
@@ -24,10 +24,21 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let sctx = SolveCtx::unlimited(&cache);
     let radix = 12u32;
     let h = 4u32;
-    let sizes: &[usize] = if quick_mode() { &[16, 32] } else { &[16, 32, 64] };
+    let sizes: &[usize] = if quick_mode() {
+        &[16, 32]
+    } else {
+        &[16, 32, 64]
+    };
     let mut table = Table::new(
         "ablation_switch_level",
-        &["switches", "servers", "tub_switch", "tub_server", "t_switch", "t_server"],
+        &[
+            "switches",
+            "servers",
+            "tub_switch",
+            "tub_server",
+            "t_switch",
+            "t_server",
+        ],
     );
     for &n_sw in sizes {
         let topo = Family::Jellyfish.build(n_sw, radix, h, 91)?;
@@ -47,13 +58,17 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         }
         let n_servers = owner.len();
         let (matching, t_server_total) = timed(|| {
-            hungarian_max(n_servers, |i, j| {
-                if owner[i] == owner[j] {
-                    0
-                } else {
-                    dist.dist(owner[i], owner[j]) as i64
-                }
-            }, &unlimited())
+            hungarian_max(
+                n_servers,
+                |i, j| {
+                    if owner[i] == owner[j] {
+                        0
+                    } else {
+                        dist.dist(owner[i], owner[j]) as i64
+                    }
+                },
+                &unlimited(),
+            )
             .expect("unbudgeted matching")
         });
         let total_len: i64 = matching

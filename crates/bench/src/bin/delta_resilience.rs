@@ -87,52 +87,62 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut t = Table::new(
         "delta_resilience",
-        &["radix", "switches", "phase", "cold_s", "cached_s", "delta_s", "speedup", "match"],
+        &[
+            "radix", "switches", "phase", "cold_s", "cached_s", "delta_s", "speedup", "match",
+        ],
     );
     for &radix in radices {
-    for &n_sw in sizes {
-        let topo = Family::Jellyfish.build(n_sw, radix, h, 31)?;
+        for &n_sw in sizes {
+            let topo = Family::Jellyfish.build(n_sw, radix, h, 31)?;
 
-        let budget = Budget::unlimited();
-        let sweep = |cache: &CacheHandle| {
-            failure_sweep(&topo, fractions, trials, backend, 37, &SolveCtx::new(cache, &budget))
-        };
-        let (cold, cold_s) = timed(|| cold_sweep(&topo, fractions, trials, backend, 37, &budget));
-        let cold = cold?;
-        let warm_cache = CacheHandle::in_memory(1 << 26);
-        sweep(&warm_cache)?;
-        let (cached, cached_s) = timed(|| sweep(&warm_cache));
-        let cached = cached?;
-        let (delta, delta_s) = timed(|| sweep(&CacheHandle::disabled()));
-        let delta = delta?;
-        let same = |a: &[FailurePoint], b: &[FailurePoint]| {
-            a.len() == b.len()
-                && a.iter().zip(b.iter()).all(|(x, y)| {
-                    x.nominal.to_bits() == y.nominal.to_bits()
-                        && x.actual.map(f64::to_bits) == y.actual.map(f64::to_bits)
-                        && x.trials == y.trials
-                })
-        };
-        for (leg, curve) in [("delta", &delta), ("cached", &cached)] {
-            if !same(&cold, curve) {
-                return Err(format!(
-                    "radix {radix}, {} switches: the {leg} curve differs from the cold one",
-                    topo.n_switches()
+            let budget = Budget::unlimited();
+            let sweep = |cache: &CacheHandle| {
+                failure_sweep(
+                    &topo,
+                    fractions,
+                    trials,
+                    backend,
+                    37,
+                    &SolveCtx::new(cache, &budget),
                 )
-                .into());
+            };
+            let (cold, cold_s) =
+                timed(|| cold_sweep(&topo, fractions, trials, backend, 37, &budget));
+            let cold = cold?;
+            let warm_cache = CacheHandle::in_memory(1 << 26);
+            sweep(&warm_cache)?;
+            let (cached, cached_s) = timed(|| sweep(&warm_cache));
+            let cached = cached?;
+            let (delta, delta_s) = timed(|| sweep(&CacheHandle::disabled()));
+            let delta = delta?;
+            let same = |a: &[FailurePoint], b: &[FailurePoint]| {
+                a.len() == b.len()
+                    && a.iter().zip(b.iter()).all(|(x, y)| {
+                        x.nominal.to_bits() == y.nominal.to_bits()
+                            && x.actual.map(f64::to_bits) == y.actual.map(f64::to_bits)
+                            && x.trials == y.trials
+                    })
+            };
+            for (leg, curve) in [("delta", &delta), ("cached", &cached)] {
+                if !same(&cold, curve) {
+                    return Err(format!(
+                        "radix {radix}, {} switches: the {leg} curve differs from the cold one",
+                        topo.n_switches()
+                    )
+                    .into());
+                }
             }
+            t.row(&[
+                &radix,
+                &topo.n_switches(),
+                &"resilience",
+                &f3(cold_s),
+                &f3(cached_s),
+                &f3(delta_s),
+                &f3(cold_s / delta_s.max(1e-9)),
+                &true,
+            ]);
         }
-        t.row(&[
-            &radix,
-            &topo.n_switches(),
-            &"resilience",
-            &f3(cold_s),
-            &f3(cached_s),
-            &f3(delta_s),
-            &f3(cold_s / delta_s.max(1e-9)),
-            &true,
-        ]);
-    }
     }
     t.finish()?;
 

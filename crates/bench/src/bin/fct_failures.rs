@@ -8,6 +8,7 @@
 //! what that costs in completion times.
 
 use dcn_bench::{quick_mode, run_guarded, Table};
+use dcn_cache::SolveCtx;
 use dcn_core::frontier::Family;
 use dcn_core::{tub, MatchingBackend};
 use dcn_sim::{flows_from_tm, run_to_completion, PathPolicy, SizedFlow};
@@ -15,7 +16,6 @@ use dcn_topo::fail_random_links;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
-use dcn_cache::SolveCtx;
 
 fn main() -> ExitCode {
     run_guarded("fct_failures", run)
@@ -37,7 +37,13 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(7);
     let mut table = Table::new(
         "fct_failures",
-        &["fraction", "policy", "mean_slowdown", "p99_slowdown", "makespan"],
+        &[
+            "fraction",
+            "policy",
+            "mean_slowdown",
+            "p99_slowdown",
+            "makespan",
+        ],
     );
     for &f in fractions {
         let degraded = match fail_random_links(&topo, f, &mut rng) {

@@ -11,11 +11,11 @@
 //! and the deviation grows with size.
 
 use dcn_bench::{f3, quick_mode, run_guarded, Table};
+use dcn_cache::SolveCtx;
 use dcn_core::frontier::Family;
 use dcn_core::resilience::{failure_sweep, rms_deviation};
 use dcn_core::MatchingBackend;
 use std::process::ExitCode;
-use dcn_cache::SolveCtx;
 
 fn main() -> ExitCode {
     run_guarded("fig10_failures", run)
@@ -39,7 +39,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         "fig10ab_failures",
         &["switches", "fraction", "nominal", "actual", "trials"],
     );
-    let mut tb = Table::new("fig10c_deviation", &["switches", "servers", "rms_deviation"]);
+    let mut tb = Table::new(
+        "fig10c_deviation",
+        &["switches", "servers", "rms_deviation"],
+    );
     for &n_sw in sizes {
         let topo = Family::Jellyfish.build(n_sw, radix, h, 31)?;
         let pts = failure_sweep(&topo, fractions, trials, backend, 37, &sctx)?;

@@ -11,11 +11,11 @@
 //! where shortest-path diversity is thin, then approaches zero.
 
 use dcn_bench::{f3, quick_mode, run_guarded, Table};
+use dcn_cache::SolveCtx;
 use dcn_core::frontier::Family;
 use dcn_core::{tub, MatchingBackend};
 use dcn_mcf::{ksp_mcf_throughput, Engine};
 use std::process::ExitCode;
-use dcn_cache::SolveCtx;
 
 fn main() -> ExitCode {
     run_guarded("fig3_gap", run)
@@ -36,7 +36,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut table = Table::new(
         "fig3_gap",
-        &["family", "h", "switches", "servers", "tub", "mcf_lb", "mcf_ub", "gap"],
+        &[
+            "family", "h", "switches", "servers", "tub", "mcf_lb", "mcf_ub", "gap",
+        ],
     );
     for family in [Family::Jellyfish, Family::Xpander, Family::FatClique] {
         for h in [4u32, 5, 6] {
@@ -50,8 +52,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 };
                 let ub = tub(&topo, MatchingBackend::Auto { exact_below: 400 }, &sctx)?;
                 let tm = ub.traffic_matrix(&topo)?;
-                let mcf =
-                    ksp_mcf_throughput(&topo, &tm, k_paths, Engine::Fptas { eps }, &sctx)?;
+                let mcf = ksp_mcf_throughput(&topo, &tm, k_paths, Engine::Fptas { eps }, &sctx)?;
                 // Obs-mode diagnostic on the smallest instance of each
                 // family: cross-check the FPTAS bracket against the exact
                 // simplex, and record the bisection-bandwidth proxy, so

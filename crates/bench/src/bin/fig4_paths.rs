@@ -10,11 +10,11 @@
 //! Paper setup: H=8, R=32, N to 300K. Scaled: H=4, R=12, switches to 512.
 
 use dcn_bench::{f3, quick_mode, run_guarded, Table};
+use dcn_cache::SolveCtx;
 use dcn_core::frontier::Family;
 use dcn_core::{tub, MatchingBackend};
 use dcn_mcf::{ksp_mcf_throughput, Engine};
 use std::process::ExitCode;
-use dcn_cache::SolveCtx;
 
 fn main() -> ExitCode {
     run_guarded("fig4_paths", run)
@@ -59,7 +59,13 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut tb = Table::new(
         "fig4b_sp_counts",
-        &["switches", "servers", "mean_sp_len", "mean_num_sp", "min_num_sp"],
+        &[
+            "switches",
+            "servers",
+            "mean_sp_len",
+            "mean_num_sp",
+            "min_num_sp",
+        ],
     );
     for &n_sw in sizes_b {
         let topo = family.build(n_sw, radix, h, 7)?;

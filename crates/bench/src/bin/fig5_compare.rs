@@ -13,7 +13,7 @@
 //! slow; bbw and singla are fast but considerably off; sc sits between.
 
 use dcn_bench::{f3, large_mode, quick_mode, run_guarded, timed, Table};
-use std::process::ExitCode;
+use dcn_cache::SolveCtx;
 use dcn_core::frontier::Family;
 use dcn_core::MatchingBackend;
 use dcn_estimators::{
@@ -21,7 +21,7 @@ use dcn_estimators::{
     TubEstimator,
 };
 use dcn_mcf::{ksp_mcf_throughput, Engine};
-use dcn_cache::SolveCtx;
+use std::process::ExitCode;
 
 fn estimators(k: usize) -> Vec<Box<dyn ThroughputEstimator>> {
     vec![
@@ -60,7 +60,14 @@ fn run_small(family: Family, radix: u32, h: u32) -> Result<(), Box<dyn std::erro
     };
     let mut table = Table::new(
         "fig5ab_compare",
-        &["switches", "estimator", "estimate", "reference", "gap", "seconds"],
+        &[
+            "switches",
+            "estimator",
+            "estimate",
+            "reference",
+            "gap",
+            "seconds",
+        ],
     );
     for &n_sw in sizes {
         let topo = family.build(n_sw, radix, h, 11)?;

@@ -16,9 +16,9 @@
 //! byte-identical whether or not the cache is enabled.
 
 use dcn_bench::{large_mode, quick_mode, run_guarded, timed, Table};
+use dcn_cache::SolveCtx;
 use dcn_core::frontier::{frontier_sweep, Criterion, Family, FrontierConfig};
 use dcn_core::MatchingBackend;
-use dcn_cache::SolveCtx;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

@@ -10,10 +10,10 @@
 //! switch radix.
 
 use dcn_bench::{f3, quick_mode, run_guarded, Table};
+use dcn_cache::SolveCtx;
 use dcn_core::cost::{min_clos_switches, min_uniregular_switches};
 use dcn_core::frontier::{Criterion, Family};
 use dcn_core::MatchingBackend;
-use dcn_cache::SolveCtx;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -30,7 +30,14 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let radix = 14u32;
     let mut ta = Table::new(
         "fig9ab_cost",
-        &["n_servers", "family", "criterion", "h", "switches", "vs_clos"],
+        &[
+            "n_servers",
+            "family",
+            "criterion",
+            "h",
+            "switches",
+            "vs_clos",
+        ],
     );
     for &n in populations {
         let clos = min_clos_switches(n, radix);
@@ -43,8 +50,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 ("full-bbw", Criterion::FullBisection { tries: 3 }),
                 ("full-tub", Criterion::FullThroughput { backend }),
             ] {
-                match min_uniregular_switches(family, n, radix, crit, 3, &sctx) {
-                    Ok(Some(c)) => {
+                match min_uniregular_switches(family, n, radix, crit, 3, &sctx)? {
+                    Some(c) => {
                         let ratio = clos_sw
                             .map(|cs| c.switches as f64 / cs as f64)
                             .unwrap_or(f64::NAN);
@@ -57,7 +64,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                             &f3(ratio),
                         ]);
                     }
-                    _ => {
+                    None => {
                         ta.row(&[&n, &family.name(), &crit_name, &"-", &"-", &"-"]);
                     }
                 }
@@ -68,10 +75,20 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     // Panel (c): Jellyfish full-tub vs full-bbw switch overhead across
     // radices, with N sized to a 1/8th 3-layer Clos of that radix.
-    let radices: &[u32] = if quick_mode() { &[8, 12] } else { &[8, 10, 12, 16] };
+    let radices: &[u32] = if quick_mode() {
+        &[8, 12]
+    } else {
+        &[8, 10, 12, 16]
+    };
     let mut tc = Table::new(
         "fig9c_radix_sweep",
-        &["radix", "n_servers", "sw_full_bbw", "sw_full_tub", "extra_pct"],
+        &[
+            "radix",
+            "n_servers",
+            "sw_full_bbw",
+            "sw_full_tub",
+            "extra_pct",
+        ],
     );
     for &r in radices {
         // 1/8th of a full 3-layer Clos for this radix (min 2 pods).
@@ -85,9 +102,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             Criterion::FullBisection { tries: 3 },
             7,
             &sctx,
-        )
-        .ok()
-        .flatten();
+        )?;
         let tubc = min_uniregular_switches(
             Family::Jellyfish,
             n,
@@ -95,9 +110,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             Criterion::FullThroughput { backend },
             7,
             &sctx,
-        )
-        .ok()
-        .flatten();
+        )?;
         match (bbw, tubc) {
             (Some(b), Some(t)) => {
                 let extra = (t.switches as f64 / b.switches as f64 - 1.0) * 100.0;

@@ -5,11 +5,11 @@
 //! R=12, switches 24..512.
 
 use dcn_bench::{f3, quick_mode, run_guarded, Table};
+use dcn_cache::SolveCtx;
 use dcn_core::frontier::Family;
 use dcn_core::lower::theoretical_gap;
 use dcn_core::MatchingBackend;
 use std::process::ExitCode;
-use dcn_cache::SolveCtx;
 
 fn main() -> ExitCode {
     run_guarded("figa1_theory_gap", run)

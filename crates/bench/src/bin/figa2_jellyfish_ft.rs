@@ -7,10 +7,10 @@
 //! monotonically improve with radix. Scaled: radices 8..14.
 
 use dcn_bench::{quick_mode, run_guarded, Table};
+use dcn_cache::SolveCtx;
 use dcn_core::frontier::Family;
 use dcn_core::{tub, MatchingBackend};
 use std::process::ExitCode;
-use dcn_cache::SolveCtx;
 
 fn main() -> ExitCode {
     run_guarded("figa2_jellyfish_ft", run)
@@ -19,10 +19,20 @@ fn main() -> ExitCode {
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let cache = dcn_bench::cache();
     let sctx = SolveCtx::unlimited(&cache);
-    let radices: &[u32] = if quick_mode() { &[8, 10] } else { &[8, 10, 12, 14] };
+    let radices: &[u32] = if quick_mode() {
+        &[8, 10]
+    } else {
+        &[8, 10, 12, 14]
+    };
     let mut table = Table::new(
         "figa2_jellyfish_ft",
-        &["radix", "switches", "ft_servers", "jf_servers_full_tub", "advantage_pct"],
+        &[
+            "radix",
+            "switches",
+            "ft_servers",
+            "jf_servers_full_tub",
+            "advantage_pct",
+        ],
     );
     for &r in radices {
         // Fat-tree equipment: 5(r/2)^2 switches, (r/2)^2 * r servers... the
@@ -45,13 +55,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         match best {
             Some((_h, n)) => {
                 let adv = (n as f64 / ft_servers as f64 - 1.0) * 100.0;
-                table.row(&[
-                    &r,
-                    &ft_switches,
-                    &ft_servers,
-                    &n,
-                    &format!("{adv:.1}%"),
-                ]);
+                table.row(&[&r, &ft_switches, &ft_servers, &n, &format!("{adv:.1}%")]);
             }
             None => table.row(&[&r, &ft_switches, &ft_servers, &"-", &"-"]),
         }

@@ -20,7 +20,11 @@ fn main() -> ExitCode {
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let cache = dcn_bench::cache();
     let sctx = dcn_cache::SolveCtx::unlimited(&cache);
-    let radices: &[u32] = if quick_mode() { &[8, 10] } else { &[8, 10, 12, 14] };
+    let radices: &[u32] = if quick_mode() {
+        &[8, 10]
+    } else {
+        &[8, 10, 12, 14]
+    };
     let mut table = Table::new(
         "figa3_xpander_ft",
         &["radix", "n_servers", "ft_switches", "xp_switches", "xp_pct"],
@@ -38,9 +42,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             },
             53,
             &sctx,
-        )
-        .ok()
-        .flatten();
+        )?;
         match xp {
             Some(c) => {
                 let pct = c.switches as f64 / ft_switches as f64 * 100.0;

@@ -9,11 +9,11 @@
 //! throughput under modest expansion; larger/lower-H starts barely move.
 
 use dcn_bench::{f3, quick_mode, run_guarded, Table};
+use dcn_cache::SolveCtx;
 use dcn_core::expansion_eval::expansion_curve;
 use dcn_core::frontier::Family;
 use dcn_core::MatchingBackend;
 use std::process::ExitCode;
-use dcn_cache::SolveCtx;
 
 fn main() -> ExitCode {
     run_guarded("figa4_expansion", run)

@@ -6,11 +6,11 @@
 //! at large sizes; beyond a sufficient K the curves coincide.
 
 use dcn_bench::{f3, quick_mode, run_guarded, Table};
+use dcn_cache::SolveCtx;
 use dcn_core::frontier::Family;
 use dcn_core::{tub, MatchingBackend};
 use dcn_mcf::{ksp_mcf_throughput, Engine};
 use std::process::ExitCode;
-use dcn_cache::SolveCtx;
 
 fn main() -> ExitCode {
     run_guarded("figa5_gap_k", run)
@@ -21,7 +21,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let sctx = SolveCtx::unlimited(&cache);
     let radix = 12u32;
     let h = 4u32;
-    let ks: &[usize] = if quick_mode() { &[4, 16] } else { &[4, 8, 16, 32] };
+    let ks: &[usize] = if quick_mode() {
+        &[4, 16]
+    } else {
+        &[4, 8, 16, 32]
+    };
     let sizes: &[usize] = if quick_mode() {
         &[24, 96]
     } else {

@@ -14,13 +14,13 @@
 //! the LP value — the open question the paper highlights.
 
 use dcn_bench::{f3, quick_mode, run_guarded, Table};
+use dcn_cache::SolveCtx;
 use dcn_core::frontier::Family;
 use dcn_core::{tub, MatchingBackend};
 use dcn_mcf::{ecmp_throughput, ksp_mcf_throughput, vlb_throughput, Engine};
 use dcn_sim::{flows_from_tm, simulate, PathPolicy};
 use dcn_topo::fat_tree;
 use std::process::ExitCode;
-use dcn_cache::SolveCtx;
 
 fn main() -> ExitCode {
     run_guarded("routing_showdown", run)
@@ -48,12 +48,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let tm = bound.traffic_matrix(topo)?;
         let tub_v = bound.bound.min(1.0);
         let mut emit = |scheme: &str, theta: f64| {
-            table.row(&[
-                &topo.name(),
-                &scheme,
-                &f3(theta),
-                &f3(theta / tub_v),
-            ]);
+            table.row(&[&topo.name(), &scheme, &f3(theta), &f3(theta / tub_v)]);
         };
         emit("tub(bound)", tub_v);
         let mcf = ksp_mcf_throughput(topo, &tm, 16, Engine::Fptas { eps: 0.05 }, &sctx)?.theta_lb;

@@ -8,13 +8,13 @@
 //! KSP-MCF throughput of the pod fabric.
 
 use dcn_bench::{f3, quick_mode, run_guarded, Table};
+use dcn_cache::SolveCtx;
 use dcn_core::{tub, MatchingBackend};
 use dcn_mcf::{ksp_mcf_throughput, Engine};
 use dcn_topo::{spinefree, SpineFreeParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
-use dcn_cache::SolveCtx;
 
 fn main() -> ExitCode {
     run_guarded("spinefree_eval", run)
@@ -63,7 +63,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let k_paths = pods.min(48);
         let mcf =
             ksp_mcf_throughput(&topo, &tm, k_paths, Engine::Fptas { eps: 0.05 }, &sctx)?.theta_lb;
-        let design = if degree == pods - 1 { "full-mesh" } else { "random" };
+        let design = if degree == pods - 1 {
+            "full-mesh"
+        } else {
+            "random"
+        };
         table.row(&[
             &design,
             &pods,

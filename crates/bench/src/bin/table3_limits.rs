@@ -50,9 +50,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 1024,
                 5,
                 &sctx,
-            )
-            .ok()
-            .flatten();
+            )?;
             let show = fb.map(|v| v.to_string()).unwrap_or_else(|| "-".into());
             tb.row(&[&family.name(), &radix, &h, &show]);
         }

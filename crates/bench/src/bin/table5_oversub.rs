@@ -9,12 +9,12 @@
 //! BBW-based one; for Clos the two coincide.
 
 use dcn_bench::{f3, run_guarded, Table};
+use dcn_cache::SolveCtx;
 use dcn_core::frontier::Family;
 use dcn_core::oversub::{oversubscription, Oversubscription};
 use dcn_core::MatchingBackend;
 use dcn_topo::{folded_clos, ClosParams};
 use std::process::ExitCode;
-use dcn_cache::SolveCtx;
 
 fn main() -> ExitCode {
     run_guarded("table5_oversub", run)
@@ -25,7 +25,15 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let sctx = SolveCtx::unlimited(&cache);
     let mut table = Table::new(
         "table5_oversub",
-        &["topology", "n_servers", "h", "bbw_ratio", "tub_ratio", "bbw_frac", "tub_frac"],
+        &[
+            "topology",
+            "n_servers",
+            "h",
+            "bbw_ratio",
+            "tub_ratio",
+            "bbw_frac",
+            "tub_frac",
+        ],
     );
     let backend = MatchingBackend::Auto { exact_below: 600 };
 

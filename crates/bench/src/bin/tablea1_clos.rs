@@ -10,10 +10,10 @@
 //!   and must equal 1.00.
 
 use dcn_bench::{f3, quick_mode, run_guarded, Table};
+use dcn_cache::SolveCtx;
 use dcn_core::{tub, MatchingBackend};
 use dcn_topo::{folded_clos, ClosParams};
 use std::process::ExitCode;
-use dcn_cache::SolveCtx;
 
 fn main() -> ExitCode {
     run_guarded("tablea1_clos", run)
@@ -51,7 +51,14 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     // Part 2: constructed scaled instances, tub must be 1.00.
     let mut tb = Table::new(
         "tablea1_tub_scaled",
-        &["radix", "layers", "top_pods", "n_servers", "switches", "tub"],
+        &[
+            "radix",
+            "layers",
+            "top_pods",
+            "n_servers",
+            "switches",
+            "tub",
+        ],
     );
     let mut instances = vec![
         ClosParams::full(8, 2),

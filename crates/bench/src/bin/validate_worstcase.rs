@@ -7,6 +7,7 @@
 //! permutations per size.
 
 use dcn_bench::{f3, quick_mode, run_guarded, Table};
+use dcn_cache::SolveCtx;
 use dcn_core::frontier::Family;
 use dcn_core::{tub, MatchingBackend};
 use dcn_mcf::{ksp_mcf_throughput, Engine};
@@ -14,7 +15,6 @@ use dcn_model::TrafficMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
-use dcn_cache::SolveCtx;
 
 fn main() -> ExitCode {
     run_guarded("validate_worstcase", run)
@@ -26,11 +26,21 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     dcn_bench::set_run_seed(11);
     let radix = 12u32;
     let h = 4u32;
-    let sizes: &[usize] = if quick_mode() { &[24, 64] } else { &[24, 64, 128, 240] };
+    let sizes: &[usize] = if quick_mode() {
+        &[24, 64]
+    } else {
+        &[24, 64, 128, 240]
+    };
     let trials = if quick_mode() { 3 } else { 8 };
     let mut table = Table::new(
         "validate_worstcase",
-        &["switches", "theta_maximal", "theta_random_min", "theta_random_mean", "separation"],
+        &[
+            "switches",
+            "theta_maximal",
+            "theta_random_min",
+            "theta_random_mean",
+            "separation",
+        ],
     );
     for &n_sw in sizes {
         let topo = Family::Jellyfish.build(n_sw, radix, h, 5)?;

@@ -11,9 +11,9 @@
 //! `results/<name>.manifest.json` sidecar capturing the RNG seed (when the
 //! binary reported one via [`set_run_seed`]), the CLI arguments, the wall
 //! time since process start, and a full dump of the metrics registry. With
-//! `DCN_OBS=summary` (or `trace`) the registry summary is also printed to
-//! stderr; with the default `DCN_OBS=off`, stdout stays byte-identical to
-//! the plain tables.
+//! `DCN_OBS=summary` (or `trace`) [`run_guarded`] also prints the registry
+//! summary to stderr, once per run; with the default `DCN_OBS=off`, stdout
+//! stays byte-identical to the plain tables.
 //!
 //! With `DCN_TRACE_FILE=<path>` (or `DCN_OBS=trace`) the harness also
 //! starts the `dcn_obs::trace` per-event recorder at startup and flushes
@@ -22,6 +22,7 @@
 use std::fmt::Display;
 use std::fs;
 use std::path::PathBuf;
+#[expect(clippy::disallowed_types, reason = "set once, then only read")]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -109,6 +110,7 @@ pub fn install_panic_flush(name: &str) {
     });
 }
 
+#[expect(clippy::disallowed_types, reason = "set once, then only read")]
 static RUN_SEED: AtomicU64 = AtomicU64::new(u64::MAX);
 
 /// Records the RNG seed this run is based on, for the manifest sidecar.
@@ -122,17 +124,6 @@ pub fn run_seed() -> Option<u64> {
     match RUN_SEED.load(Ordering::Relaxed) {
         u64::MAX => None,
         s => Some(s),
-    }
-}
-
-/// Captures and writes the `results/<name>.manifest.json` sidecar for a
-/// run (plus the trace, when tracing is active), and prints the obs
-/// summary when observability is on. Called by [`Table::finish`];
-/// standalone binaries without a table can call it directly.
-pub fn write_manifest(name: &str) {
-    write_run_files(name, "");
-    if dcn_obs::enabled() {
-        eprint!("{}", dcn_obs::summary());
     }
 }
 
@@ -168,7 +159,10 @@ fn write_run_files(name: &str, suffix: &str) {
         let mpath = dir.join(format!("{name}{suffix}.manifest.json"));
         match manifest.write_to(&mpath) {
             Ok(()) if panicking => {
-                eprintln!("{name}: panic: partial manifest flushed to {}", mpath.display());
+                eprintln!(
+                    "{name}: panic: partial manifest flushed to {}",
+                    mpath.display()
+                );
             }
             Ok(()) => dcn_obs::obs_log!("wrote {}", mpath.display()),
             Err(e) => eprintln!("{name}: manifest write failed: {e}"),
@@ -184,7 +178,10 @@ fn write_run_files(name: &str, suffix: &str) {
     };
     match dcn_obs::trace::flush_to_file(&tpath) {
         Ok(n) if panicking => {
-            eprintln!("{name}: panic: flushed {n} trace events to {}", tpath.display());
+            eprintln!(
+                "{name}: panic: flushed {n} trace events to {}",
+                tpath.display()
+            );
         }
         Ok(n) => dcn_obs::obs_log!("wrote {} ({n} events)", tpath.display()),
         Err(e) => eprintln!("{name}: trace flush failed: {e}"),
@@ -265,7 +262,7 @@ impl Table {
     pub fn finish(&self) -> Result<(), Box<dyn std::error::Error>> {
         self.print();
         let csv = self.write_csv();
-        write_manifest(&self.name);
+        write_run_files(&self.name, "");
         csv
     }
 }
@@ -308,7 +305,8 @@ pub fn f3(x: f64) -> String {
 /// a panic backtrace. Experiment binaries wrap their `main` logic in this
 /// so that an infeasible configuration (or an exhausted budget) exits
 /// cleanly and scripted sweeps can tell "experiment failed" from
-/// "experiment crashed".
+/// "experiment crashed". Under `DCN_OBS=summary` (or `trace`) it prints
+/// the registry summary once the body returns, with success or an error.
 pub fn run_guarded(
     name: &str,
     body: impl FnOnce() -> Result<(), Box<dyn std::error::Error>>,
@@ -319,7 +317,11 @@ pub fn run_guarded(
     process_start();
     dcn_obs::trace::init_from_env();
     install_panic_flush(name);
-    match body() {
+    let result = body();
+    if dcn_obs::enabled() {
+        eprint!("{}", dcn_obs::summary());
+    }
+    match result {
         Ok(()) => std::process::ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{name}: error: {e}");

@@ -1,8 +1,9 @@
 //! An experiment must flush its buffered trace events whether it ends
 //! normally or dies mid-cell. A panicking body must also flush its partial
 //! manifest: the post-mortem a human (or a sweep script) reads after a run
-//! dies. A run that cannot write its CSV must fail, and only
-//! `DCN_OBS=trace` prints `obs_log!` lines.
+//! dies. A run that cannot write its CSV must fail, only `DCN_OBS=trace`
+//! prints `obs_log!` lines, and `DCN_OBS=summary` prints one summary per
+//! run however many tables it finishes.
 //!
 //! Each run happens in a child process (this test binary re-invoked with
 //! an env gate), because the tracer, the obs mode and the panic hook are
@@ -19,6 +20,7 @@ use std::process::{Command, ExitCode, Output};
 
 const WORKER_ENV: &str = "DCN_BENCH_TEST_PANIC_DIR";
 const TABLE_ENV: &str = "DCN_BENCH_TEST_TABLE_DIR";
+const TWO_TABLES_ENV: &str = "DCN_BENCH_TEST_TWO_TABLES";
 
 /// Child-process entrypoint (gated on [`WORKER_ENV`]); a no-op in the
 /// normal suite. Panics mid-"sweep" under `run_guarded`.
@@ -76,7 +78,10 @@ fn panic_flushes_manifest_and_trace() {
     let tpath = dir.join("panic_probe.panic.trace.json");
     let trace = std::fs::read_to_string(&tpath).expect("panic trace written");
     dcn_obs::json::Json::parse(&trace).expect("panic trace parses");
-    assert!(stderr.contains("panic: partial manifest flushed"), "{stderr}");
+    assert!(
+        stderr.contains("panic: partial manifest flushed"),
+        "{stderr}"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -152,6 +157,51 @@ fn wrote_lines_are_trace_only() {
         "{trace}"
     );
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Child-process entrypoint (gated on [`TWO_TABLES_ENV`]); a no-op in the
+/// normal suite. Finishes two tables in one run, as `fig10_failures` and
+/// `tablea1_clos` do.
+#[test]
+fn two_tables_entry() {
+    if std::env::var(TWO_TABLES_ENV).is_err() {
+        return;
+    }
+    let code = dcn_bench::run_guarded("two_tables", || {
+        for name in ["two_tables_a", "two_tables_b"] {
+            let mut t = dcn_bench::Table::new(name, &["x"]);
+            t.row(&[&1]);
+            t.finish()?;
+        }
+        Ok(())
+    });
+    if code != ExitCode::SUCCESS {
+        std::process::exit(1);
+    }
+}
+
+/// The summary is cumulative, so a run prints it once, after its last
+/// table; each table still writes its own manifest.
+#[test]
+fn summary_prints_once_per_run() {
+    let dir = std::env::temp_dir().join(format!("dcn-bench-two-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create results dir");
+    let out = Command::new(std::env::current_exe().expect("current_exe"))
+        .args(["two_tables_entry", "--exact", "--nocapture"])
+        .env(TWO_TABLES_ENV, "1")
+        .env("DCN_RESULTS_DIR", &dir)
+        .env("DCN_OBS", "summary")
+        .env_remove("DCN_TRACE_FILE")
+        .output()
+        .expect("spawn two-table child");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert_eq!(stderr.matches("-- dcn-obs summary").count(), 1, "{stderr}");
+    for name in ["two_tables_a", "two_tables_b"] {
+        assert!(dir.join(format!("{name}.manifest.json")).is_file());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A results dir that cannot be created fails the run with a message

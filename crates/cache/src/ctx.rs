@@ -80,7 +80,6 @@ impl<'a> SolveCtx<'a> {
             budget: Budget::unlimited_ref(),
         }
     }
-
 }
 
 /// A `&'static` disabled cache handle backing the `*_ctx` constructors.

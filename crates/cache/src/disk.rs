@@ -43,6 +43,7 @@ impl DiskTier {
     /// Loads and revalidates a record; quarantines it and reports a miss
     /// on any failure. An absent file is a plain miss (no quarantine).
     pub(crate) fn load<T: CacheEntry>(&self, key: CacheKey) -> Option<T> {
+        dcn_obs::lock::assert_unlocked("DiskTier::load");
         let path = self.path_for(T::KIND, key);
         let text = fs::read_to_string(&path).ok()?;
         match decode::<T>(&text, key) {
@@ -66,6 +67,7 @@ impl DiskTier {
     /// the same key race only at the rename, which is atomic:
     /// last-writer-wins, and both writers' bytes are complete records.
     pub(crate) fn store<T: CacheEntry>(&self, key: CacheKey, value: &T) {
+        dcn_obs::lock::assert_unlocked("DiskTier::store");
         let record = Json::obj([
             ("version", Json::Num(FORMAT_VERSION as f64)),
             ("kind", Json::Str(T::KIND.to_string())),
@@ -96,11 +98,17 @@ fn decode<T: CacheEntry>(text: &str, key: CacheKey) -> Result<T, String> {
     if version != FORMAT_VERSION {
         return Err(format!("version {version}, expected {FORMAT_VERSION}"));
     }
-    let kind = json.get("kind").and_then(Json::as_str).ok_or("missing kind")?;
+    let kind = json
+        .get("kind")
+        .and_then(Json::as_str)
+        .ok_or("missing kind")?;
     if kind != T::KIND {
         return Err(format!("kind {kind:?}, expected {:?}", T::KIND));
     }
-    let hex = json.get("key").and_then(Json::as_str).ok_or("missing key")?;
+    let hex = json
+        .get("key")
+        .and_then(Json::as_str)
+        .ok_or("missing key")?;
     if hex != key.to_hex() {
         return Err("key mismatch (renamed or relocated record)".to_string());
     }
@@ -116,7 +124,10 @@ fn decode<T: CacheEntry>(text: &str, key: CacheKey) -> Result<T, String> {
 
 fn quarantine(path: &Path, kind: &str, reason: &str) {
     dcn_obs::counter!(dcn_obs::names::CACHE_QUARANTINED).inc();
-    dcn_obs::obs_log!("cache: quarantined {kind} record {}: {reason}", path.display());
+    dcn_obs::obs_log!(
+        "cache: quarantined {kind} record {}: {reason}",
+        path.display()
+    );
     let mut target = path.as_os_str().to_os_string();
     target.push(".quarantined");
     if fs::rename(path, &target).is_err() {

@@ -201,7 +201,7 @@ impl CacheHandle {
         let hits = dcn_obs::counter!(dcn_obs::names::CACHE_HIT);
         if let Some(value) = store.get::<T>(key) {
             hits.inc();
-            dcn_obs::trace_instant(dcn_obs::names::CACHE_HIT);
+            dcn_obs::trace_instant!(dcn_obs::names::CACHE_HIT);
             return Ok(value);
         }
         if T::PERSIST {
@@ -209,14 +209,14 @@ impl CacheHandle {
                 if let Some(value) = disk.load::<T>(key) {
                     dcn_obs::counter!(dcn_obs::names::CACHE_DISK_HIT).inc();
                     hits.inc();
-                    dcn_obs::trace_instant(dcn_obs::names::CACHE_DISK_HIT);
+                    dcn_obs::trace_instant!(dcn_obs::names::CACHE_DISK_HIT);
                     store.insert(key, value.clone(), value.approx_bytes());
                     return Ok(value);
                 }
             }
         }
         dcn_obs::counter!(dcn_obs::names::CACHE_MISS).inc();
-        dcn_obs::trace_instant(dcn_obs::names::CACHE_MISS);
+        dcn_obs::trace_instant!(dcn_obs::names::CACHE_MISS);
         let value = compute()?;
         store.insert(key, value.clone(), value.approx_bytes());
         if T::PERSIST {
@@ -238,7 +238,7 @@ impl CacheHandle {
         let hits = dcn_obs::counter!(dcn_obs::names::CACHE_HIT);
         if let Some(value) = store.get::<T>(key) {
             hits.inc();
-            dcn_obs::trace_instant(dcn_obs::names::CACHE_HIT);
+            dcn_obs::trace_instant!(dcn_obs::names::CACHE_HIT);
             return Some(value);
         }
         if T::PERSIST {
@@ -246,7 +246,7 @@ impl CacheHandle {
                 if let Some(value) = disk.load::<T>(key) {
                     dcn_obs::counter!(dcn_obs::names::CACHE_DISK_HIT).inc();
                     hits.inc();
-                    dcn_obs::trace_instant(dcn_obs::names::CACHE_DISK_HIT);
+                    dcn_obs::trace_instant!(dcn_obs::names::CACHE_DISK_HIT);
                     store.insert(key, value.clone(), value.approx_bytes());
                     return Some(value);
                 }

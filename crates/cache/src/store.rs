@@ -4,10 +4,15 @@
 //! Recency is tracked with a global *logical* clock (an `AtomicU64`
 //! bumped on every touch), not wall time — clippy's `disallowed-methods`
 //! keeps `Instant::now` out of non-clock crates, and a logical clock
-//! makes eviction order reproducible for a serial access sequence.
+//! makes eviction order reproducible for a serial access sequence. The
+//! shards are [`Rank::Shard`] locks, the innermost rank of the
+//! workspace's lock order, and no thread holds two at once.
+
+#![expect(clippy::disallowed_types, reason = "relaxed LRU clock and stamps")]
 
 use crate::disk::DiskTier;
 use crate::hash::CacheKey;
+use dcn_obs::lock::{Rank, Ranked};
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,7 +35,7 @@ struct Shard {
 
 /// The process-wide cache state behind a [`crate::CacheHandle`].
 pub(crate) struct Store {
-    shards: Vec<RwLock<Shard>>,
+    shards: Vec<Ranked<RwLock<Shard>>>,
     clock: AtomicU64,
     /// Per-shard byte budget (total budget / shard count).
     shard_budget: usize,
@@ -40,7 +45,9 @@ pub(crate) struct Store {
 impl Store {
     pub(crate) fn new(max_bytes: usize, disk: Option<DiskTier>) -> Store {
         let mut shards = Vec::with_capacity(N_SHARDS);
-        shards.resize_with(N_SHARDS, || RwLock::new(Shard::default()));
+        shards.resize_with(N_SHARDS, || {
+            Ranked::new(Rank::Shard, RwLock::new(Shard::default()))
+        });
         Store {
             shards,
             clock: AtomicU64::new(0),
@@ -58,9 +65,7 @@ impl Store {
     /// concrete type (possible only on a 128-bit key collision across
     /// domains) is treated as a miss.
     pub(crate) fn get<T: Clone + 'static>(&self, key: CacheKey) -> Option<T> {
-        let shard = self.shards[key.shard(N_SHARDS)]
-            .read()
-            .expect("cache shard poisoned");
+        let shard = self.shards[key.shard(N_SHARDS)].read();
         let stored = shard.map.get(&key)?;
         let value = stored.value.downcast_ref::<T>()?.clone();
         stored.last_used.store(self.tick(), Ordering::Relaxed);
@@ -74,9 +79,7 @@ impl Store {
     pub(crate) fn insert<T: Send + Sync + 'static>(&self, key: CacheKey, value: T, bytes: usize) {
         let evictions = dcn_obs::counter!(dcn_obs::names::CACHE_EVICT);
         let stamp = self.tick();
-        let mut shard = self.shards[key.shard(N_SHARDS)]
-            .write()
-            .expect("cache shard poisoned");
+        let mut shard = self.shards[key.shard(N_SHARDS)].write();
         if let Some(old) = shard.map.insert(
             key,
             Stored {
@@ -106,10 +109,7 @@ impl Store {
     /// Total entries across all shards (test support).
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("cache shard poisoned").map.len())
-            .sum()
+        self.shards.iter().map(|s| s.read().map.len()).sum()
     }
 }
 

@@ -83,9 +83,11 @@ fn hammer_entry() {
             if (round + i) % 2 == 0 {
                 // Force a re-store: the next lookup misses and races its
                 // write against the other processes.
-                let _ = std::fs::remove_file(
-                    dir.join(format!("{}-{}.json", Cell::KIND, key(i).to_hex())),
-                );
+                let _ = std::fs::remove_file(dir.join(format!(
+                    "{}-{}.json",
+                    Cell::KIND,
+                    key(i).to_hex()
+                )));
             }
             let v: Result<Cell, ()> = cache.get_or_compute(|| key(i), || Ok(cell(i)));
             assert_eq!(v.unwrap(), cell(i), "round {round} key {i}");

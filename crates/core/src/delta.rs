@@ -264,12 +264,23 @@ mod tests {
                 continue;
             };
             let warm = parent
-                .tub_or_cold(&child, MatchingBackend::Exact, &nocache_ctx(&Budget::unlimited()))
+                .tub_or_cold(
+                    &child,
+                    MatchingBackend::Exact,
+                    &nocache_ctx(&Budget::unlimited()),
+                )
                 .unwrap();
-            let cold = tub(&child, MatchingBackend::Exact, &nocache_ctx(&Budget::unlimited()))
-                .unwrap();
+            let cold = tub(
+                &child,
+                MatchingBackend::Exact,
+                &nocache_ctx(&Budget::unlimited()),
+            )
+            .unwrap();
             assert_eq!(warm.bound.to_bits(), cold.bound.to_bits());
-            assert_eq!(warm.weighted_path_len.to_bits(), cold.weighted_path_len.to_bits());
+            assert_eq!(
+                warm.weighted_path_len.to_bits(),
+                cold.weighted_path_len.to_bits()
+            );
             assert!(!warm.fallback);
             compared += 1;
         }
@@ -297,7 +308,9 @@ mod tests {
         // Other tests add to the process-wide counter concurrently.
         let steps = || dcn_obs::counter_value(dcn_obs::names::MATCH_HUNGARIAN_STEPS);
         let before = steps();
-        parent.tub_or_cold(&child, MatchingBackend::Exact, &unlimited_ctx()).unwrap();
+        parent
+            .tub_or_cold(&child, MatchingBackend::Exact, &unlimited_ctx())
+            .unwrap();
         assert!(steps() - before >= state.steps());
     }
 
@@ -317,10 +330,18 @@ mod tests {
             .unwrap();
         assert_eq!(reaugmented, 0);
         let warm = parent
-            .tub_or_cold(&topo, MatchingBackend::Exact, &nocache_ctx(&Budget::unlimited()))
+            .tub_or_cold(
+                &topo,
+                MatchingBackend::Exact,
+                &nocache_ctx(&Budget::unlimited()),
+            )
             .unwrap();
-        let cold =
-            tub(&topo, MatchingBackend::Exact, &nocache_ctx(&Budget::unlimited())).unwrap();
+        let cold = tub(
+            &topo,
+            MatchingBackend::Exact,
+            &nocache_ctx(&Budget::unlimited()),
+        )
+        .unwrap();
         assert_eq!(warm.bound.to_bits(), cold.bound.to_bits());
     }
 
@@ -337,12 +358,10 @@ mod tests {
             &ctx
         )
         .is_none());
-        assert!(TubDeltaParent::prepare(
-            &topo,
-            MatchingBackend::Auto { exact_below: 2 },
-            &ctx
-        )
-        .is_none());
+        assert!(
+            TubDeltaParent::prepare(&topo, MatchingBackend::Auto { exact_below: 2 }, &ctx)
+                .is_none()
+        );
     }
 
     #[test]
@@ -407,7 +426,10 @@ mod tests {
         let r = parent
             .tub_or_cold(&child, MatchingBackend::Exact, &nocache_ctx(&tiny))
             .unwrap();
-        assert!(fallbacks() > before, "a cold sample must count in delta.fallback");
+        assert!(
+            fallbacks() > before,
+            "a cold sample must count in delta.fallback"
+        );
         let cold = tub(&child, MatchingBackend::Exact, &nocache_ctx(&tiny)).unwrap();
         assert_eq!(r.bound.to_bits(), cold.bound.to_bits());
     }

@@ -75,7 +75,8 @@ mod tests {
     fn curve_monotone_ratios_and_bounded() {
         let mut rng = StdRng::seed_from_u64(23);
         let t = jellyfish(30, 6, 5, &mut rng).unwrap();
-        let curve = expansion_curve(&t, 5, 4, 0.2, MatchingBackend::Exact, 7, &unlimited_ctx()).unwrap();
+        let curve =
+            expansion_curve(&t, 5, 4, 0.2, MatchingBackend::Exact, 7, &unlimited_ctx()).unwrap();
         assert_eq!(curve.len(), 5);
         assert!((curve[0].ratio - 1.0).abs() < 1e-12);
         assert!((curve[0].normalized - 1.0).abs() < 1e-12);
@@ -94,7 +95,8 @@ mod tests {
         // keeping H fixed should not increase throughput.
         let mut rng = StdRng::seed_from_u64(29);
         let t = jellyfish(24, 5, 5, &mut rng).unwrap();
-        let curve = expansion_curve(&t, 5, 6, 0.25, MatchingBackend::Exact, 11, &unlimited_ctx()).unwrap();
+        let curve =
+            expansion_curve(&t, 5, 6, 0.25, MatchingBackend::Exact, 11, &unlimited_ctx()).unwrap();
         let first = curve.first().unwrap().tub;
         let last = curve.last().unwrap().tub;
         assert!(
@@ -107,6 +109,8 @@ mod tests {
     fn zero_step_fraction_rejected() {
         let mut rng = StdRng::seed_from_u64(31);
         let t = jellyfish(20, 4, 4, &mut rng).unwrap();
-        assert!(expansion_curve(&t, 4, 2, 0.0, MatchingBackend::Exact, 1, &unlimited_ctx()).is_err());
+        assert!(
+            expansion_curve(&t, 4, 2, 0.0, MatchingBackend::Exact, 1, &unlimited_ctx()).is_err()
+        );
     }
 }

@@ -115,9 +115,7 @@ pub fn satisfies(
     ctx: &SolveCtx<'_>,
 ) -> Result<bool, CoreError> {
     match criterion {
-        Criterion::FullThroughput { backend } => {
-            Ok(tub(topo, backend, ctx)?.bound >= 1.0 - 1e-9)
-        }
+        Criterion::FullThroughput { backend } => Ok(tub(topo, backend, ctx)?.bound >= 1.0 - 1e-9),
         Criterion::FullBisection { tries } => {
             let bbw = bisection_bandwidth(topo, tries, seed, ctx)?;
             Ok(bbw >= topo.n_servers() as f64 / 2.0 - 1e-9)

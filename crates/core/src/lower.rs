@@ -75,7 +75,8 @@ mod tests {
     fn lower_at_most_upper() {
         let mut rng = StdRng::seed_from_u64(11);
         let t = jellyfish(24, 5, 4, &mut rng).unwrap();
-        let (ub, lb, gap) = theoretical_gap(&t, 1, MatchingBackend::Exact, &unlimited_ctx()).unwrap();
+        let (ub, lb, gap) =
+            theoretical_gap(&t, 1, MatchingBackend::Exact, &unlimited_ctx()).unwrap();
         assert!(lb <= ub.bound + 1e-12);
         assert!((gap - (ub.bound - lb).max(0.0)).abs() < 1e-12);
         assert!(lb > 0.0);
@@ -89,9 +90,10 @@ mod tests {
         let ub = tub(&t, MatchingBackend::Exact, &unlimited_ctx()).unwrap();
         let tm = ub.traffic_matrix(&t).unwrap();
         let lb = throughput_lower_bound(&t, &tm, 1).unwrap();
-        let exact = dcn_mcf::ksp_mcf_throughput(&t, &tm, 8, dcn_mcf::Engine::Exact, &unlimited_ctx())
-            .unwrap()
-            .theta_lb;
+        let exact =
+            dcn_mcf::ksp_mcf_throughput(&t, &tm, 8, dcn_mcf::Engine::Exact, &unlimited_ctx())
+                .unwrap()
+                .theta_lb;
         assert!(
             lb <= exact + 1e-9,
             "lower bound {lb} exceeds exact throughput {exact}"

@@ -115,8 +115,7 @@ pub fn report_card(
                     .sum()
             };
             let d0 = cap_deg(0);
-            let uniform = (0..topo.n_switches() as u32)
-                .all(|u| (cap_deg(u) - d0).abs() < 0.5);
+            let uniform = (0..topo.n_switches() as u32).all(|u| (cap_deg(u) - d0).abs() < 0.5);
             if uniform && d0 >= 1.0 {
                 universal_tub(UniRegularParams {
                     n_servers: topo.n_servers(),
@@ -166,7 +165,10 @@ mod tests {
         assert!(r.is_full_bisection());
         assert!(!r.bisection_overpromises());
         assert!(r.universal_bound.is_none(), "bi-regular: Thm 4.1 N/A");
-        assert!(r.lambda2.is_none(), "fat-tree is not regular (leaves vs cores)");
+        assert!(
+            r.lambda2.is_none(),
+            "fat-tree is not regular (leaves vs cores)"
+        );
         let text = r.render();
         assert!(text.contains("tub"));
         assert!(!text.contains('⚠'));
@@ -178,7 +180,14 @@ mod tests {
         // (from the frontier analysis, ~250 switches).
         let mut rng = StdRng::seed_from_u64(5);
         let t = jellyfish(260, 10, 3, &mut rng).unwrap();
-        let r = report_card(&t, MatchingBackend::Auto { exact_below: 300 }, 3, 7, &unlimited_ctx()).unwrap();
+        let r = report_card(
+            &t,
+            MatchingBackend::Auto { exact_below: 300 },
+            3,
+            7,
+            &unlimited_ctx(),
+        )
+        .unwrap();
         assert!(r.universal_bound.is_some());
         assert!(r.lambda2.is_some());
         assert!(r.tub <= r.universal_bound.unwrap() + 1e-9);

@@ -76,28 +76,29 @@ pub fn failure_sweep(
         .iter()
         .flat_map(|&f| std::iter::repeat_n(f, trials as usize))
         .collect();
-    let results = Pool::from_env().par_map(ctx.budget, &samples, |i, &f| -> Result<_, CoreError> {
-        let _sample = dcn_obs::span!(dcn_obs::names::CORE_RESILIENCE_SAMPLE);
-        let mut rng = StdRng::seed_from_u64(task_seed(seed, i as u64));
-        match fail_random_links(topo, f, &mut rng) {
-            // No link failed, so the sample is the parent itself. Reusing
-            // θ0 keeps identical samples from racing on one cache entry,
-            // which would make the cache and solver counters depend on the
-            // thread count.
-            Ok(degraded) if degraded.graph().m() == topo.graph().m() => Ok(Some(theta0)),
-            Ok(degraded) => {
-                let t = match &delta_parent {
-                    Some(p) => p.tub_or_cold(&degraded, backend, ctx)?,
-                    None => tub(&degraded, backend, ctx)?,
-                };
-                Ok(Some(t.bound.min(1.0)))
+    let results =
+        Pool::from_env().par_map(ctx.budget, &samples, |i, &f| -> Result<_, CoreError> {
+            let _sample = dcn_obs::span!(dcn_obs::names::CORE_RESILIENCE_SAMPLE);
+            let mut rng = StdRng::seed_from_u64(task_seed(seed, i as u64));
+            match fail_random_links(topo, f, &mut rng) {
+                // No link failed, so the sample is the parent itself. Reusing
+                // θ0 keeps identical samples from racing on one cache entry,
+                // which would make the cache and solver counters depend on the
+                // thread count.
+                Ok(degraded) if degraded.graph().m() == topo.graph().m() => Ok(Some(theta0)),
+                Ok(degraded) => {
+                    let t = match &delta_parent {
+                        Some(p) => p.tub_or_cold(&degraded, backend, ctx)?,
+                        None => tub(&degraded, backend, ctx)?,
+                    };
+                    Ok(Some(t.bound.min(1.0)))
+                }
+                Err(_) => {
+                    skipped_ctr.inc();
+                    Ok(None)
+                }
             }
-            Err(_) => {
-                skipped_ctr.inc();
-                Ok(None)
-            }
-        }
-    })?;
+        })?;
     let out = fractions
         .iter()
         .enumerate()
@@ -130,6 +131,7 @@ pub fn rms_deviation(points: &[FailurePoint]) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact oracles and bit-identical reruns")]
 mod tests {
     use super::*;
     use dcn_cache::prelude::*;

@@ -93,7 +93,8 @@ impl CacheEntry for TubResult {
     const KIND: &'static str = "tub";
 
     fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<TubResult>() + self.pairs.len() * std::mem::size_of::<(NodeId, NodeId)>()
+        std::mem::size_of::<TubResult>()
+            + self.pairs.len() * std::mem::size_of::<(NodeId, NodeId)>()
     }
 
     fn to_json(&self) -> Json {
@@ -127,10 +128,19 @@ impl CacheEntry for TubResult {
             _ => return Err("missing fallback".into()),
         };
         let mut pairs = Vec::new();
-        for p in json.get("pairs").and_then(Json::as_array).ok_or("missing pairs")? {
+        for p in json
+            .get("pairs")
+            .and_then(Json::as_array)
+            .ok_or("missing pairs")?
+        {
             let p = p.as_array().ok_or("bad pair")?;
-            let [u, v] = p else { return Err("bad pair arity".into()) };
-            let (u, v) = (u.as_u64().ok_or("bad pair src")?, v.as_u64().ok_or("bad pair dst")?);
+            let [u, v] = p else {
+                return Err("bad pair arity".into());
+            };
+            let (u, v) = (
+                u.as_u64().ok_or("bad pair src")?,
+                v.as_u64().ok_or("bad pair dst")?,
+            );
             if u > NodeId::MAX as u64 || v > NodeId::MAX as u64 {
                 return Err("pair out of NodeId range".into());
             }
@@ -147,7 +157,9 @@ impl CacheEntry for TubResult {
     }
 
     fn validate(&self) -> Result<(), String> {
-        if !(self.bound.is_finite() && self.weighted_path_len.is_finite() && self.capacity.is_finite())
+        if !(self.bound.is_finite()
+            && self.weighted_path_len.is_finite()
+            && self.capacity.is_finite())
         {
             return Err("non-finite tub fields".into());
         }
@@ -156,7 +168,8 @@ impl CacheEntry for TubResult {
         }
         // Equation 1's defining identity must survive the round trip.
         let recomputed = self.capacity / self.weighted_path_len;
-        if (recomputed - self.bound).abs() > dcn_guard::validate::DEFAULT_TOL * self.bound.max(1.0) {
+        if (recomputed - self.bound).abs() > dcn_guard::validate::DEFAULT_TOL * self.bound.max(1.0)
+        {
             return Err(format!(
                 "bound {} inconsistent with capacity/weight {}",
                 self.bound, recomputed
@@ -223,7 +236,10 @@ pub fn tub(
     backend: MatchingBackend,
     ctx: &SolveCtx<'_>,
 ) -> Result<TubResult, CoreError> {
-    ctx.cache.get_or_compute(|| tub_key(topo, backend), || tub_uncached(topo, backend, ctx.budget))
+    ctx.cache.get_or_compute(
+        || tub_key(topo, backend),
+        || tub_uncached(topo, backend, ctx.budget),
+    )
 }
 
 fn tub_uncached(
@@ -325,6 +341,7 @@ fn run_matching(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact oracles and bit-identical reruns")]
 mod tests {
     use super::*;
     use dcn_cache::prelude::*;
@@ -380,9 +397,10 @@ mod tests {
             let t = jellyfish(16, 4, 3, &mut rng).unwrap();
             let r = tub(&t, MatchingBackend::Exact, &unlimited_ctx()).unwrap();
             let tm = r.traffic_matrix(&t).unwrap();
-            let th = dcn_mcf::ksp_mcf_throughput(&t, &tm, 32, dcn_mcf::Engine::Exact, &unlimited_ctx())
-                .unwrap()
-                .theta_lb;
+            let th =
+                dcn_mcf::ksp_mcf_throughput(&t, &tm, 32, dcn_mcf::Engine::Exact, &unlimited_ctx())
+                    .unwrap()
+                    .theta_lb;
             assert!(
                 th <= r.bound + 1e-9,
                 "mcf {} > tub {} on {}",
@@ -418,9 +436,19 @@ mod tests {
     fn auto_backend_switches() {
         let mut rng = StdRng::seed_from_u64(6);
         let t = jellyfish(20, 4, 2, &mut rng).unwrap();
-        let small = tub(&t, MatchingBackend::Auto { exact_below: 100 }, &unlimited_ctx()).unwrap();
+        let small = tub(
+            &t,
+            MatchingBackend::Auto { exact_below: 100 },
+            &unlimited_ctx(),
+        )
+        .unwrap();
         assert_eq!(small.backend, "hungarian");
-        let large = tub(&t, MatchingBackend::Auto { exact_below: 10 }, &unlimited_ctx()).unwrap();
+        let large = tub(
+            &t,
+            MatchingBackend::Auto { exact_below: 10 },
+            &unlimited_ctx(),
+        )
+        .unwrap();
         assert_eq!(large.backend, "greedy+2swap");
     }
 

@@ -149,7 +149,11 @@ fn thread_count_never_changes_results() {
         let after = names.iter().map(|n| dcn_obs::counter_value(n));
         after.zip(before).map(|(a, b)| a - b).collect::<Vec<u64>>()
     };
-    assert_eq!(work(1), work(4), "sweep counters depend on the thread count");
+    assert_eq!(
+        work(1),
+        work(4),
+        "sweep counters depend on the thread count"
+    );
 
     // 3. KSP-MCF: the per-commodity path enumeration fans out on the
     // pool, so the uncached FPTAS bracket of the maximal permutation must

@@ -260,7 +260,8 @@ pub fn build_topology(spec: &Json) -> Result<Topology, String> {
             let radix = num("radix").ok_or(format!("{family} needs `radix`"))? as u32;
             let h = num("h").unwrap_or(4.0) as u32;
             let seed = spec.get("seed").and_then(Json::as_u64).unwrap_or(1);
-            fam.build(switches, radix, h, seed).map_err(|e| e.to_string())
+            fam.build(switches, radix, h, seed)
+                .map_err(|e| e.to_string())
         }
         other => Err(format!("unknown topology family `{other}`")),
     }
@@ -406,16 +407,14 @@ impl Daemon {
     /// fanned out on the pool in chunks of its width → responses.
     pub fn process_batch(&self, lines: &[String]) -> Vec<String> {
         let _batch = dcn_obs::span!(dcn_obs::names::DCND_BATCH);
-        let parsed: Vec<Result<Query, String>> =
-            lines.iter().map(|l| parse_query(l)).collect();
+        let parsed: Vec<Result<Query, String>> = lines.iter().map(|l| parse_query(l)).collect();
 
         // First occurrence of each cold canonical key solves; later ones
         // collapse onto it. Warm keys answer straight from the tier.
         let mut outcomes: Vec<Option<CacheProvenance>> = vec![None; parsed.len()];
         let mut warm: Vec<(usize, f64)> = Vec::new();
         let mut cold: Vec<usize> = Vec::new(); // solver index per unique key
-        let mut seen: std::collections::HashMap<CacheKey, usize> =
-            std::collections::HashMap::new();
+        let mut seen: std::collections::HashMap<CacheKey, usize> = std::collections::HashMap::new();
         for (i, q) in parsed.iter().enumerate() {
             let Ok(q) = q else { continue };
             if !self.cache.is_enabled() {
@@ -546,11 +545,7 @@ impl Daemon {
     /// Serves line-delimited queries from `input`, writing one response
     /// line per query to `out` in input order. Lines batch up to 256 per
     /// scheduling round.
-    pub fn serve(
-        &self,
-        input: impl BufRead,
-        mut out: impl Write,
-    ) -> std::io::Result<()> {
+    pub fn serve(&self, input: impl BufRead, mut out: impl Write) -> std::io::Result<()> {
         let mut batch: Vec<String> = Vec::new();
         for line in input.lines() {
             let line = line?;
@@ -566,11 +561,7 @@ impl Daemon {
         Ok(())
     }
 
-    fn flush_batch(
-        &self,
-        batch: &mut Vec<String>,
-        out: &mut impl Write,
-    ) -> std::io::Result<()> {
+    fn flush_batch(&self, batch: &mut Vec<String>, out: &mut impl Write) -> std::io::Result<()> {
         if batch.is_empty() {
             return Ok(());
         }

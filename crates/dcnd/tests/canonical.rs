@@ -66,8 +66,7 @@ fn fat_tree_spellings_share_a_key() {
     assert_eq!(a.key, b.key, "field order must not change the key");
     assert!(a.canonical && b.canonical);
 
-    let c = parse_query(r#"{"topology":{"family":"fat_tree","k":10},"estimator":"tub"}"#)
-        .unwrap();
+    let c = parse_query(r#"{"topology":{"family":"fat_tree","k":10},"estimator":"tub"}"#).unwrap();
     assert_ne!(a.key, c.key, "different k is a different instance");
 }
 
@@ -89,7 +88,10 @@ fn clos_omitted_defaults_share_a_key() {
         r#"{"topology":{"family":"clos","radix":8,"spine_uplink_fraction":0.5},"estimator":"sc"}"#,
     )
     .unwrap();
-    assert_ne!(terse.key, tapered.key, "a tapered spine is a different instance");
+    assert_ne!(
+        terse.key, tapered.key,
+        "a tapered spine is a different instance"
+    );
 }
 
 #[test]
@@ -117,10 +119,8 @@ fn seeded_families_never_canonicalize() {
 
 #[test]
 fn tm_and_estimator_partition_the_keyspace() {
-    let tub = parse_query(r#"{"topology":{"family":"fat_tree","k":8},"estimator":"tub"}"#)
-        .unwrap();
-    let sc = parse_query(r#"{"topology":{"family":"fat_tree","k":8},"estimator":"sc"}"#)
-        .unwrap();
+    let tub = parse_query(r#"{"topology":{"family":"fat_tree","k":8},"estimator":"tub"}"#).unwrap();
+    let sc = parse_query(r#"{"topology":{"family":"fat_tree","k":8},"estimator":"sc"}"#).unwrap();
     assert_ne!(tub.key, sc.key, "the estimator is part of the identity");
 
     let implicit =
@@ -160,7 +160,11 @@ fn daemon_collapses_canonical_duplicates_onto_one_solve() {
 
     // Two spellings of one fat tree → one solve; same for the Clos pair;
     // the two jellyfish spellings stay two solves. 4 misses, 0 hits.
-    assert_eq!(m1 - m0, 4, "fat-tree and clos pairs each collapse to one solve");
+    assert_eq!(
+        m1 - m0,
+        4,
+        "fat-tree and clos pairs each collapse to one solve"
+    );
     assert_eq!(h1 - h0, 0, "a cold batch hits nothing");
     let provs: Vec<String> = cold.iter().map(|r| provenance(r)).collect();
     assert_eq!(provs, ["miss", "dedup", "miss", "dedup", "miss", "miss"]);
@@ -212,8 +216,7 @@ fn exhausted_budget_rejects_cold_and_still_serves_warm() {
     assert_eq!(status(&responses[0]), "ok");
     assert_eq!(provenance(&responses[0]), "hit");
     assert_eq!(
-        responses[1],
-        r#"{"id":"cold","status":"rejected","reason":"global-budget-exhausted"}"#,
+        responses[1], r#"{"id":"cold","status":"rejected","reason":"global-budget-exhausted"}"#,
         "rejection is typed and deterministic"
     );
 }

@@ -23,14 +23,15 @@
 
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::float_cmp, clippy::float_cmp_const)]
 
 use dcn_cache::SolveCtx;
 use dcn_core::{tub, CoreError, MatchingBackend};
 use dcn_graph::DistMatrix;
 use dcn_mcf::{McfError, PathSet};
 use dcn_model::{Topology, TrafficMatrix};
-use std::borrow::Cow;
 use dcn_partition::{bisection_bandwidth, sparsest_cut_sweep};
+use std::borrow::Cow;
 
 /// Error from an estimator run.
 #[derive(Debug)]

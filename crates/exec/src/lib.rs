@@ -60,6 +60,7 @@
 //! ```
 
 use dcn_guard::{Budget, BudgetError};
+#[expect(clippy::disallowed_types, reason = "the pool's cursor and stop flag")]
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -88,9 +89,8 @@ impl Pool {
         let from_var = dcn_obs::env::EXEC_THREADS
             .parsed::<usize>()
             .filter(|&n| n > 0);
-        let threads = from_var.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        });
+        let threads =
+            from_var.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         Pool::new(threads)
     }
 
@@ -157,7 +157,12 @@ impl Pool {
         // worker count (the serial path below nests naturally on the
         // caller thread). Observability-only; never affects results.
         let span_parent = dcn_obs::current_span_path();
+        // Relaxed suffices for both: the cursor only hands out distinct
+        // indices, the stop flag only cuts the queue short, and the
+        // scope's join publishes every result to the merging thread.
+        #[expect(clippy::disallowed_types, reason = "the task cursor")]
         let next = AtomicUsize::new(0);
+        #[expect(clippy::disallowed_types, reason = "the latched stop flag")]
         let stop = AtomicBool::new(false);
         // Each worker claims monotonically increasing indices and collects
         // (index, result) pairs locally; the caller thread merges them back
@@ -187,8 +192,7 @@ impl Pool {
                             // per worker.
                             if let Err(e) = budget.meter().checkpoint() {
                                 stop.store(true, Ordering::Relaxed);
-                                dcn_obs::counter!(dcn_obs::names::EXEC_POOL_SHORT_CIRCUITS)
-                                    .inc();
+                                dcn_obs::counter!(dcn_obs::names::EXEC_POOL_SHORT_CIRCUITS).inc();
                                 local.push((i, Err(E::from(e))));
                                 break;
                             }
@@ -201,8 +205,7 @@ impl Pool {
                             local.push((i, r));
                             if failed {
                                 stop.store(true, Ordering::Relaxed);
-                                dcn_obs::counter!(dcn_obs::names::EXEC_POOL_SHORT_CIRCUITS)
-                                    .inc();
+                                dcn_obs::counter!(dcn_obs::names::EXEC_POOL_SHORT_CIRCUITS).inc();
                                 break;
                             }
                         }
@@ -293,7 +296,8 @@ impl Default for Pool {
 /// independent streams whose values do not depend on scheduling — the
 /// keystone of the determinism contract for randomized sweeps.
 pub fn task_seed(run_seed: u64, task_index: u64) -> u64 {
-    let mut z = run_seed.wrapping_add((task_index.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut z =
+        run_seed.wrapping_add((task_index.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -362,6 +366,7 @@ mod tests {
         // flag before its *next* claim, so the overwhelming majority of the
         // queue is never started (at most ~one in-flight task per worker
         // runs to completion after the poison).
+        #[expect(clippy::disallowed_types, reason = "counts tasks across workers")]
         let executed = AtomicUsize::new(0);
         let items: Vec<u64> = (0..10_000).collect();
         let err = Pool::new(4)

@@ -25,10 +25,10 @@ fn sweep_span_counts(threads: usize) -> Vec<(String, u64)> {
     dcn_obs::reset();
     let items: Vec<u64> = (0..24).collect();
     let out = {
-        let _sweep = dcn_obs::span!("exec.itest.sweep");
+        let _sweep = dcn_obs::SpanGuard::enter("exec.itest.sweep");
         Pool::new(threads)
             .par_map(&Budget::unlimited(), &items, |i, &x| {
-                let _cell = dcn_obs::span!("exec.itest.cell");
+                let _cell = dcn_obs::SpanGuard::enter("exec.itest.cell");
                 Ok::<_, BudgetError>(x * 2 + i as u64)
             })
             .expect("sweep")

@@ -415,7 +415,9 @@ mod tests {
         let g = diamond();
         assert_eq!(paths_within_slack(&g, 0, 3, 5, 2, &unl()).unwrap().len(), 2);
         assert_eq!(
-            k_shortest_by_slack(&g, 0, 3, 2, u16::MAX, &unl()).unwrap().len(),
+            k_shortest_by_slack(&g, 0, 3, 2, u16::MAX, &unl())
+                .unwrap()
+                .len(),
             2
         );
     }

@@ -33,8 +33,16 @@ impl MaxFlow {
             let c = g.capacity(e as u32);
             let ru = arcs[u as usize].len() as u32;
             let rv = arcs[v as usize].len() as u32;
-            arcs[u as usize].push(Arc { to: v, cap: c, rev: rv });
-            arcs[v as usize].push(Arc { to: u, cap: c, rev: ru });
+            arcs[u as usize].push(Arc {
+                to: v,
+                cap: c,
+                rev: rv,
+            });
+            arcs[v as usize].push(Arc {
+                to: u,
+                cap: c,
+                rev: ru,
+            });
         }
         MaxFlow { arcs }
     }
@@ -105,7 +113,12 @@ impl MaxFlow {
 }
 
 /// Convenience: the max-flow value from `s` to `t`.
-pub fn max_flow_value(g: &Graph, s: NodeId, t: NodeId, budget: &Budget) -> Result<f64, BudgetError> {
+pub fn max_flow_value(
+    g: &Graph,
+    s: NodeId,
+    t: NodeId,
+    budget: &Budget,
+) -> Result<f64, BudgetError> {
     MaxFlow::from_graph(g).solve(s, t, budget)
 }
 
@@ -129,6 +142,7 @@ pub fn edge_connectivity(g: &Graph, budget: &Budget) -> Result<f64, BudgetError>
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact oracles and bit-identical reruns")]
 mod tests {
     use super::*;
 
@@ -166,7 +180,13 @@ mod tests {
         // surplus through 2).
         let g = Graph::from_weighted_edges(
             4,
-            &[(0, 1, 3.0), (0, 2, 2.0), (1, 3, 2.0), (2, 3, 3.0), (1, 2, 1.0)],
+            &[
+                (0, 1, 3.0),
+                (0, 2, 2.0),
+                (1, 3, 2.0),
+                (2, 3, 3.0),
+                (1, 2, 1.0),
+            ],
         )
         .unwrap();
         assert_eq!(mf(&g, 0, 3), 5.0);
@@ -217,9 +237,21 @@ mod tests {
     fn regular_graph_connectivity_at_most_degree() {
         // Petersen: 3-regular, edge connectivity exactly 3.
         let edges = [
-            (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
-            (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
-            (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 0),
+            (0, 5),
+            (1, 6),
+            (2, 7),
+            (3, 8),
+            (4, 9),
+            (5, 7),
+            (7, 9),
+            (9, 6),
+            (6, 8),
+            (8, 5),
         ];
         let g = Graph::from_edges(10, &edges).unwrap();
         assert_eq!(edge_connectivity(&g, &unl()).unwrap(), 3.0);

@@ -89,6 +89,7 @@ pub fn d_total(n_switches: f64, r: u32) -> Option<f64> {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact oracles and bit-identical reruns")]
 mod tests {
     use super::*;
 

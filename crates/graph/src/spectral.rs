@@ -93,14 +93,16 @@ mod tests {
     #[test]
     fn cycle_lambda2_matches_closed_form() {
         for n in [12usize, 13] {
-            let edges: Vec<(u32, u32)> =
-                (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
+            let edges: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
             let g = Graph::from_edges(n, &edges).unwrap();
             let expect = (1..n)
                 .map(|k| (2.0 * (2.0 * std::f64::consts::PI * k as f64 / n as f64).cos()).abs())
                 .fold(0.0f64, f64::max);
             let l2 = adjacency_lambda2(&g, 4000).unwrap();
-            assert!((l2 - expect).abs() < 1e-3, "C{n}: λ = {l2}, expect {expect}");
+            assert!(
+                (l2 - expect).abs() < 1e-3,
+                "C{n}: λ = {l2}, expect {expect}"
+            );
         }
     }
 
@@ -108,13 +110,28 @@ mod tests {
     fn petersen_is_ramanujan() {
         // Petersen graph: 3-regular with λ2 = 1 < 2 sqrt 2.
         let edges = [
-            (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
-            (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
-            (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 0),
+            (0, 5),
+            (1, 6),
+            (2, 7),
+            (3, 8),
+            (4, 9),
+            (5, 7),
+            (7, 9),
+            (9, 6),
+            (6, 8),
+            (8, 5),
         ];
         let g = Graph::from_edges(10, &edges).unwrap();
         let l2 = adjacency_lambda2(&g, 500).unwrap();
-        assert!((l2 - 2.0).abs() < 1e-6, "Petersen deflated radius = {l2} (λn = -2)");
+        assert!(
+            (l2 - 2.0).abs() < 1e-6,
+            "Petersen deflated radius = {l2} (λn = -2)"
+        );
         assert!(
             l2 <= 2.0 * 2f64.sqrt(),
             "above the Ramanujan bound 2 sqrt(r - 1)"

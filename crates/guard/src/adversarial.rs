@@ -93,7 +93,11 @@ impl Xorshift {
     /// Creates a generator from a non-zero seed (zero is mapped to a
     /// fixed constant, since xorshift has a zero fixed point).
     pub fn new(seed: u64) -> Self {
-        Xorshift(if seed == 0 { 0x9e37_79b9_7f4a_7c15 } else { seed })
+        Xorshift(if seed == 0 {
+            0x9e37_79b9_7f4a_7c15
+        } else {
+            seed
+        })
     }
 
     /// Next pseudo-random `u64`.

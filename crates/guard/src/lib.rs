@@ -72,6 +72,7 @@ pub mod prelude {
     }
 }
 
+#[expect(clippy::disallowed_types, reason = "a latched flag needs no lock")]
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -80,6 +81,7 @@ use std::time::{Duration, Instant};
 /// threads. Setting it makes every kernel metering a [`Budget`] that
 /// carries the flag return [`BudgetError::Cancelled`] at its next tick.
 #[derive(Debug, Clone, Default)]
+#[expect(clippy::disallowed_types, reason = "a latched flag needs no lock")]
 pub struct CancelFlag(Arc<AtomicBool>);
 
 impl CancelFlag {
@@ -328,10 +330,7 @@ mod tests {
         for _ in 0..5 {
             m.tick().unwrap();
         }
-        assert_eq!(
-            m.tick(),
-            Err(BudgetError::IterationsExceeded { cap: 5 })
-        );
+        assert_eq!(m.tick(), Err(BudgetError::IterationsExceeded { cap: 5 }));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! within a residual tolerance; the paper's own comparisons (the Theorem-2
 //! gap, the Fig. 5 estimator columns) are tolerance comparisons, not
 //! bit-equality. Exact `==`/`!=` against floats in solver code is therefore
-//! almost always a bug, and `dcn-lint`'s `float-eq` rule forbids it. These
+//! almost always a bug, and clippy's `float_cmp` lint, on in every solver
+//! crate root, rejects it outside comparisons with zero. These
 //! helpers are the sanctioned replacement: every comparison names its
 //! tolerance, and the degenerate cases (NaN, infinities) are pinned down by
 //! tests rather than left to IEEE ordering accidents.

@@ -133,10 +133,9 @@ impl std::fmt::Display for CertError {
                 f,
                 "certificate: duality gap (primal {primal} vs dual {dual})"
             ),
-            CertError::ConstraintViolated { row, residual } => write!(
-                f,
-                "certificate: constraint {row} violated by {residual}"
-            ),
+            CertError::ConstraintViolated { row, residual } => {
+                write!(f, "certificate: constraint {row} violated by {residual}")
+            }
             CertError::SingularBasis { col } => write!(
                 f,
                 "certificate: simplex basis is numerically singular at column {col}"

@@ -1,4 +1,4 @@
-//! Fixture: an unbudgeted public loop and a stale allow.
+//! Fixture: unbudgeted public loops, a stale allow and a bare one.
 
 /// Fixture: documented unbudgeted loop.
 pub fn spin(n: u32) -> u32 {
@@ -25,4 +25,14 @@ pub fn spin_ctx(n: u32, ctx: &SolveCtx<'_>) -> u32 {
         i += 1;
     }
     i + ctx.tag
+}
+
+/// Fixture: documented loop under an allow with no justification.
+// dcn-lint: allow(budget-coverage)
+pub fn spin_bare(n: u32) -> u32 {
+    let mut i = 0;
+    while i < n {
+        i += 1;
+    }
+    i
 }

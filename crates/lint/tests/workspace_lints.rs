@@ -1,10 +1,12 @@
-//! Every package of the workspace inherits `[workspace.lints]`.
+//! Every package of the workspace inherits `[workspace.lints]`, and the
+//! crate roots keep the lint levels they set themselves.
 //!
 //! rustc and clippy enforce the generic invariants (no `unsafe`,
 //! documented public items, `#[expect]` with a reason instead of
 //! `#[allow]`, and the `clippy.toml` bans) only in packages whose
 //! manifest opts in with `[lints] workspace = true`. A crate that leaves
-//! the table out would skip all of them without a warning.
+//! the table out would skip all of them without a warning, and so would
+//! a crate root that lost one of its `#![warn(…)]` lines.
 
 use std::path::{Path, PathBuf};
 
@@ -84,5 +86,37 @@ fn workspace_table_forbids_unsafe_and_requires_docs() {
             lines.iter().any(|l| l == needed),
             "root Cargo.toml lacks `{needed}`"
         );
+    }
+}
+
+/// The lints a crate root enables with `#![warn(…)]` attributes.
+fn root_warns(krate: &str) -> Vec<String> {
+    let path = workspace_root()
+        .join("crates")
+        .join(krate)
+        .join("src/lib.rs");
+    let text = std::fs::read_to_string(&path).expect("read crate root");
+    text.lines()
+        .filter_map(|l| l.trim().strip_prefix("#![warn(")?.strip_suffix(")]"))
+        .flat_map(|list| list.split(',').map(|lint| lint.trim().to_string()))
+        .collect()
+}
+
+#[test]
+fn solver_and_panic_free_roots_keep_their_lint_levels() {
+    let panic = "unwrap_used expect_used panic unreachable todo unimplemented";
+    for krate in "lp mcf graph match partition core estimators obs".split(' ') {
+        let float = if krate == "obs" {
+            ""
+        } else {
+            "float_cmp float_cmp_const"
+        };
+        let warns = root_warns(krate);
+        for lint in panic.split(' ').chain(float.split_whitespace()) {
+            assert!(
+                warns.contains(&format!("clippy::{lint}")),
+                "crates/{krate}/src/lib.rs no longer sets #![warn(clippy::{lint})]"
+            );
+        }
     }
 }

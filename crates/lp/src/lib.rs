@@ -25,6 +25,7 @@
 
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::float_cmp, clippy::float_cmp_const)]
 
 mod simplex;
 
@@ -234,8 +235,6 @@ impl LinearProgram {
     }
 }
 
-
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,11 +243,7 @@ mod tests {
         clippy::type_complexity,
         reason = "the constraint triples read better inline than behind a test-only alias"
     )]
-    fn solve3(
-        n: usize,
-        obj: &[(usize, f64)],
-        cons: &[(&[(usize, f64)], Cmp, f64)],
-    ) -> LpSolution {
+    fn solve3(n: usize, obj: &[(usize, f64)], cons: &[(&[(usize, f64)], Cmp, f64)]) -> LpSolution {
         let mut lp = LinearProgram::new(n);
         lp.set_objective(obj);
         for (c, cmp, b) in cons {
@@ -297,10 +292,7 @@ mod tests {
         let sol = solve3(
             1,
             &[(0, 1.0)],
-            &[
-                (&[(0, 1.0)], Cmp::Le, 1.0),
-                (&[(0, 1.0)], Cmp::Ge, 2.0),
-            ],
+            &[(&[(0, 1.0)], Cmp::Le, 1.0), (&[(0, 1.0)], Cmp::Ge, 2.0)],
         );
         assert_eq!(sol.status, LpStatus::Infeasible);
     }

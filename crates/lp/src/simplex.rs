@@ -49,7 +49,6 @@ impl Pristine {
                 a[r * cols..(r + 1) * cols]
                     .iter()
                     .enumerate()
-                    // dcn-lint: allow(float-eq) — sparsity filter: storing exact nonzeros, not comparing solver outputs
                     .filter(|&(_, &v)| v != 0.0)
                     .map(|(c, &v)| (c as u32, v))
                     .collect()
@@ -456,13 +455,17 @@ pub(crate) fn solve(
     // the phase-1 basis and discards phase-1 rounding drift. (Artificial
     // columns never re-enter: pricing below excludes them.)
     let singular = |col: usize| LpError::Certificate(dcn_guard::CertError::SingularBasis { col });
-    sf.t.refactor(&sf.pristine, lp.objective()).map_err(singular)?;
+    sf.t.refactor(&sf.pristine, lp.objective())
+        .map_err(singular)?;
     let mut resumes = 0u32;
     let status = loop {
         // Price real + slack columns only; periodic refreshes rebuild the
         // tableau from pristine data mid-run.
-        let (status, p2_iters) =
-            sf.t.optimize(sf.art_start, &mut meter, Some((&sf.pristine, lp.objective())))?;
+        let (status, p2_iters) = sf.t.optimize(
+            sf.art_start,
+            &mut meter,
+            Some((&sf.pristine, lp.objective())),
+        )?;
         dcn_obs::counter!(dcn_obs::names::LP_SIMPLEX_PHASE2_ITERS).add(p2_iters);
         if status != LpStatus::Optimal {
             break status;
@@ -471,7 +474,8 @@ pub(crate) fn solve(
         // reduced costs still price out non-negative the basis is truly
         // optimal; otherwise drift mis-terminated the run — keep pivoting
         // from the refreshed (numerically clean) tableau.
-        sf.t.refactor(&sf.pristine, lp.objective()).map_err(singular)?;
+        sf.t.refactor(&sf.pristine, lp.objective())
+            .map_err(singular)?;
         dcn_obs::counter!(dcn_obs::names::LP_SIMPLEX_REFACTORIZATIONS).inc();
         if (0..sf.art_start).all(|c| sf.t.at(m, c) >= -EPS) {
             break status;

@@ -18,6 +18,7 @@
 
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::float_cmp, clippy::float_cmp_const)]
 
 use dcn_guard::{Budget, BudgetError};
 
@@ -392,11 +393,7 @@ impl HungarianState {
         let n = self.n();
         let mut state = self.clone();
         // Deduplicated ascending dirty rows, 1-indexed.
-        let mut rows: Vec<usize> = dirty
-            .iter()
-            .filter(|&&r| r < n)
-            .map(|&r| r + 1)
-            .collect();
+        let mut rows: Vec<usize> = dirty.iter().filter(|&&r| r < n).map(|&r| r + 1).collect();
         rows.sort_unstable();
         rows.dedup();
         // Unassign every column currently held by a dirty row, then
@@ -613,7 +610,12 @@ mod tests {
         assert_eq!(m.total_weight, 20);
         assert_eq!(m.assignment, vec![1, 0]);
         // n = 0 and n = 1.
-        assert_eq!(hungarian_max(0, |_, _| 0, &Budget::unlimited()).unwrap().total_weight, 0);
+        assert_eq!(
+            hungarian_max(0, |_, _| 0, &Budget::unlimited())
+                .unwrap()
+                .total_weight,
+            0
+        );
         let one = hungarian_max(1, |_, _| 7, &Budget::unlimited()).unwrap();
         assert_eq!(one.total_weight, 7);
         assert_eq!(one.assignment, vec![0]);
@@ -764,8 +766,7 @@ mod tests {
     #[test]
     fn rematch_respects_budget() {
         let mat = [[1i64, 10], [10, 1]];
-        let (_, state) =
-            hungarian_max_stateful(2, |i, j| mat[i][j], &Budget::unlimited()).unwrap();
+        let (_, state) = hungarian_max_stateful(2, |i, j| mat[i][j], &Budget::unlimited()).unwrap();
         let tiny = Budget::unlimited().with_iter_cap(1);
         assert!(matches!(
             state.rematch(&[0, 1], |i, j| mat[i][j], &tiny),
@@ -948,7 +949,13 @@ mod reference {
 
     /// An `n × n` matrix of weights drawn from `lo..hi`; symmetric with a zero
     /// diagonal (a distance matrix's shape) when `symmetric`.
-    fn random_matrix(rng: &mut StdRng, n: usize, lo: i64, hi: i64, symmetric: bool) -> Vec<Vec<i64>> {
+    fn random_matrix(
+        rng: &mut StdRng,
+        n: usize,
+        lo: i64,
+        hi: i64,
+        symmetric: bool,
+    ) -> Vec<Vec<i64>> {
         let mut mat: Vec<Vec<i64>> = (0..n)
             .map(|i| {
                 (0..n)

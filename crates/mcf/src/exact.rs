@@ -93,11 +93,7 @@ pub fn solve(ps: &PathSet, budget: &Budget) -> Result<ThroughputResult, McfError
 
 /// MCF-level certificate: the recovered per-path flows must respect every
 /// directed edge capacity and serve each commodity at `θ · demand`.
-fn verify_flow_certificate(
-    ps: &PathSet,
-    theta: f64,
-    flows: &[Vec<f64>],
-) -> Result<(), McfError> {
+fn verify_flow_certificate(ps: &PathSet, theta: f64, flows: &[Vec<f64>]) -> Result<(), McfError> {
     let n_dir = ps.n_directed_edges();
     let mut load = vec![0.0f64; n_dir];
     let mut served = Vec::with_capacity(ps.commodities().len());
@@ -123,6 +119,7 @@ fn verify_flow_certificate(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact oracles and bit-identical reruns")]
 mod tests {
     use super::*;
     use dcn_graph::Graph;
@@ -179,8 +176,7 @@ mod tests {
         // Worst-case permutation (Figure 7): 0->3, 3->1, 1->4, 4->2, 2->0
         // (each pair at distance 2). Optimal θ = 5/6 with the shown split.
         let t = topo(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], 1);
-        let tm = TrafficMatrix::permutation(&t, &[(0, 3), (3, 1), (1, 4), (4, 2), (2, 0)])
-            .unwrap();
+        let tm = TrafficMatrix::permutation(&t, &[(0, 3), (3, 1), (1, 4), (4, 2), (2, 0)]).unwrap();
         let ps = PathSet::k_shortest(&t, &tm, 8, &Budget::unlimited()).unwrap();
         let r = solve(&ps, &Budget::unlimited()).unwrap();
         assert!(

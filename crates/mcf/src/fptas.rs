@@ -73,9 +73,7 @@ pub fn solve(ps: &PathSet, eps: f64, budget: &Budget) -> Result<ThroughputResult
         best
     };
 
-    let d_of = |length: &[f64]| -> f64 {
-        length.iter().zip(cap.iter()).map(|(l, c)| l * c).sum()
-    };
+    let d_of = |length: &[f64]| -> f64 { length.iter().zip(cap.iter()).map(|(l, c)| l * c).sum() };
 
     let mut theta_ub = f64::INFINITY;
     let mut phases = 0usize;
@@ -169,7 +167,8 @@ fn finish(
 ) -> Result<ThroughputResult, McfError> {
     let _ = routed;
     if theta_ub > 0.0 && theta_ub.is_finite() {
-        dcn_obs::gauge!(dcn_obs::names::MCF_FPTAS_ACHIEVED_EPS).set((theta_ub - theta_lb) / theta_ub);
+        dcn_obs::gauge!(dcn_obs::names::MCF_FPTAS_ACHIEVED_EPS)
+            .set((theta_ub - theta_lb) / theta_ub);
     }
     let sp_frac = ps.shortest_path_fraction(&flows);
     let theta_ub = theta_ub.max(theta_lb);
@@ -199,8 +198,7 @@ mod tests {
     #[test]
     fn brackets_exact_on_cycle() {
         let t = topo(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], 1);
-        let tm =
-            TrafficMatrix::permutation(&t, &[(0, 3), (3, 1), (1, 4), (4, 2), (2, 0)]).unwrap();
+        let tm = TrafficMatrix::permutation(&t, &[(0, 3), (3, 1), (1, 4), (4, 2), (2, 0)]).unwrap();
         let ps = PathSet::k_shortest(&t, &tm, 8, &Budget::unlimited()).unwrap();
         let ex = exact::solve(&ps, &Budget::unlimited()).unwrap().theta_lb;
         let ap = solve(&ps, 0.05, &Budget::unlimited()).unwrap();
@@ -242,7 +240,13 @@ mod tests {
         let t = topo(2, &[(0, 1)], 1);
         let tm = TrafficMatrix::permutation(&t, &[(0, 1)]).unwrap();
         let ps = PathSet::k_shortest(&t, &tm, 1, &Budget::unlimited()).unwrap();
-        assert!(matches!(solve(&ps, 0.0, &Budget::unlimited()), Err(McfError::BadEps(_))));
-        assert!(matches!(solve(&ps, 0.7, &Budget::unlimited()), Err(McfError::BadEps(_))));
+        assert!(matches!(
+            solve(&ps, 0.0, &Budget::unlimited()),
+            Err(McfError::BadEps(_))
+        ));
+        assert!(matches!(
+            solve(&ps, 0.7, &Budget::unlimited()),
+            Err(McfError::BadEps(_))
+        ));
     }
 }

@@ -19,6 +19,7 @@
 
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::float_cmp, clippy::float_cmp_const)]
 
 pub mod exact;
 pub mod fptas;
@@ -109,7 +110,10 @@ impl CacheEntry for ThroughputResult {
         Json::obj([
             ("theta_lb", Json::Num(self.theta_lb)),
             ("theta_ub", Json::Num(self.theta_ub)),
-            ("shortest_path_fraction", Json::Num(self.shortest_path_fraction)),
+            (
+                "shortest_path_fraction",
+                Json::Num(self.shortest_path_fraction),
+            ),
             ("provenance", Json::Str(prov.to_string())),
             ("eps", Json::Num(eps)),
         ])
@@ -144,10 +148,16 @@ impl CacheEntry for ThroughputResult {
         // Re-run the bracket certificate the solvers established: a
         // deserialized record must still satisfy lb <= ub with finite,
         // sane values.
-        dcn_guard::validate::check_bracket(self.theta_lb, self.theta_ub, dcn_guard::validate::DEFAULT_TOL)
-            .map_err(|e| format!("bracket: {e}"))?;
+        dcn_guard::validate::check_bracket(
+            self.theta_lb,
+            self.theta_ub,
+            dcn_guard::validate::DEFAULT_TOL,
+        )
+        .map_err(|e| format!("bracket: {e}"))?;
         let spf = self.shortest_path_fraction;
-        if !spf.is_finite() || !(-dcn_guard::validate::DEFAULT_TOL..=1.0 + dcn_guard::validate::DEFAULT_TOL).contains(&spf)
+        if !spf.is_finite()
+            || !(-dcn_guard::validate::DEFAULT_TOL..=1.0 + dcn_guard::validate::DEFAULT_TOL)
+                .contains(&spf)
         {
             return Err(format!("shortest-path fraction {spf} outside [0, 1]"));
         }
@@ -340,8 +350,7 @@ mod fallback_tests {
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).unwrap();
         let topo = Topology::new(g, vec![1; 5], "c5").unwrap();
         let tm =
-            TrafficMatrix::permutation(&topo, &[(0, 3), (3, 1), (1, 4), (4, 2), (2, 0)])
-                .unwrap();
+            TrafficMatrix::permutation(&topo, &[(0, 3), (3, 1), (1, 4), (4, 2), (2, 0)]).unwrap();
         PathSet::k_shortest(&topo, &tm, 8, &Budget::unlimited()).unwrap()
     }
 

@@ -224,6 +224,7 @@ impl PathSet {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact oracles and bit-identical reruns")]
 mod tests {
     use super::*;
     use dcn_graph::Graph;

@@ -192,9 +192,15 @@ mod tests {
         for _ in 0..3 {
             let tm = TrafficMatrix::random_permutation(&t, &mut rng).unwrap();
             let ecmp = ecmp_throughput(&t, &tm).unwrap();
-            let mcf = crate::ksp_mcf_throughput(&t, &tm, 32, crate::Engine::Exact, &dcn_cache::prelude::unlimited_ctx())
-                .unwrap()
-                .theta_lb;
+            let mcf = crate::ksp_mcf_throughput(
+                &t,
+                &tm,
+                32,
+                crate::Engine::Exact,
+                &dcn_cache::prelude::unlimited_ctx(),
+            )
+            .unwrap()
+            .theta_lb;
             assert!(ecmp <= mcf + 1e-9, "ecmp {ecmp} > mcf {mcf}");
         }
     }
@@ -204,8 +210,7 @@ mod tests {
         // The Figure 7 permutation on C5: optimal is 5/6 but ECMP (pure
         // shortest-path) only reaches 1/2.
         let t = ring(5, 1);
-        let tm =
-            TrafficMatrix::permutation(&t, &[(0, 3), (3, 1), (1, 4), (4, 2), (2, 0)]).unwrap();
+        let tm = TrafficMatrix::permutation(&t, &[(0, 3), (3, 1), (1, 4), (4, 2), (2, 0)]).unwrap();
         let th = ecmp_throughput(&t, &tm).unwrap();
         assert!((th - 0.5).abs() < 1e-9, "ecmp θ = {th}");
     }
@@ -229,9 +234,15 @@ mod tests {
         let t = jellyfish(16, 6, 4, &mut rng).unwrap();
         let tm = TrafficMatrix::random_permutation(&t, &mut rng).unwrap();
         let vlb = vlb_throughput(&t, &tm).unwrap();
-        let mcf = crate::ksp_mcf_throughput(&t, &tm, 32, crate::Engine::Exact, &dcn_cache::prelude::unlimited_ctx())
-            .unwrap()
-            .theta_lb;
+        let mcf = crate::ksp_mcf_throughput(
+            &t,
+            &tm,
+            32,
+            crate::Engine::Exact,
+            &dcn_cache::prelude::unlimited_ctx(),
+        )
+        .unwrap()
+        .theta_lb;
         assert!(vlb <= mcf + 1e-9, "vlb {vlb} > mcf {mcf}");
         assert!(vlb > 0.0);
     }

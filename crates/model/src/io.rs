@@ -169,8 +169,7 @@ mod tests {
     use dcn_graph::Graph;
 
     fn sample() -> Topology {
-        let g =
-            Graph::from_weighted_edges(3, &[(0, 1, 1.0), (1, 2, 2.0), (2, 0, 1.0)]).unwrap();
+        let g = Graph::from_weighted_edges(3, &[(0, 1, 1.0), (1, 2, 2.0), (2, 0, 1.0)]).unwrap();
         Topology::new(g, vec![2, 0, 4], "sample").unwrap()
     }
 

@@ -137,12 +137,7 @@ impl Topology {
 
     /// Classifies the topology (Figure 1 of the paper).
     pub fn class(&self) -> TopoClass {
-        let with: Vec<u32> = self
-            .servers
-            .iter()
-            .copied()
-            .filter(|&s| s > 0)
-            .collect();
+        let with: Vec<u32> = self.servers.iter().copied().filter(|&s| s > 0).collect();
         let any_zero = self.servers.contains(&0);
         let min = *with.iter().min().expect("validated: at least one server");
         let max = *with.iter().max().expect("validated: at least one server");
@@ -213,10 +208,7 @@ mod tests {
     #[test]
     fn near_uni_regular_classification() {
         let t = ring_topo(vec![4, 5, 4, 5]).unwrap();
-        assert_eq!(
-            t.class(),
-            TopoClass::NearUniRegular { h_min: 4, h_max: 5 }
-        );
+        assert_eq!(t.class(), TopoClass::NearUniRegular { h_min: 4, h_max: 5 });
     }
 
     #[test]
@@ -229,7 +221,10 @@ mod tests {
 
     #[test]
     fn rejects_no_servers() {
-        assert_eq!(ring_topo(vec![0, 0, 0, 0]).unwrap_err(), ModelError::NoServers);
+        assert_eq!(
+            ring_topo(vec![0, 0, 0, 0]).unwrap_err(),
+            ModelError::NoServers
+        );
     }
 
     #[test]

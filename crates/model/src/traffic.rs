@@ -182,8 +182,7 @@ impl TrafficMatrix {
             let j = rng.gen_range(0..i);
             perm.swap(i, j);
         }
-        let pairs: Vec<(NodeId, NodeId)> =
-            (0..k.len()).map(|i| (k[i], k[perm[i]])).collect();
+        let pairs: Vec<(NodeId, NodeId)> = (0..k.len()).map(|i| (k[i], k[perm[i]])).collect();
         TrafficMatrix::permutation(topo, &pairs)
     }
 
@@ -271,8 +270,16 @@ mod tests {
         let tm = TrafficMatrix::new(
             &t,
             vec![
-                Demand { src: 0, dst: 1, amount: 1.0 },
-                Demand { src: 0, dst: 2, amount: 1.0 },
+                Demand {
+                    src: 0,
+                    dst: 1,
+                    amount: 1.0,
+                },
+                Demand {
+                    src: 0,
+                    dst: 2,
+                    amount: 1.0,
+                },
             ],
         )
         .unwrap();
@@ -284,7 +291,11 @@ mod tests {
         let t = ring(4, 2);
         let tm = TrafficMatrix::new(
             &t,
-            vec![Demand { src: 0, dst: 1, amount: 5.0 }],
+            vec![Demand {
+                src: 0,
+                dst: 1,
+                amount: 5.0,
+            }],
         )
         .unwrap();
         assert!(matches!(
@@ -333,7 +344,11 @@ mod tests {
         let t = Topology::new(g, vec![2, 0, 2, 0], "ring").unwrap();
         let err = TrafficMatrix::new(
             &t,
-            vec![Demand { src: 0, dst: 1, amount: 1.0 }],
+            vec![Demand {
+                src: 0,
+                dst: 1,
+                amount: 1.0,
+            }],
         )
         .unwrap_err();
         assert_eq!(err, ModelError::DemandOnServerlessSwitch { switch: 1 });
@@ -344,17 +359,29 @@ mod tests {
         let t = ring(4, 2);
         assert!(TrafficMatrix::new(
             &t,
-            vec![Demand { src: 1, dst: 1, amount: 1.0 }]
+            vec![Demand {
+                src: 1,
+                dst: 1,
+                amount: 1.0
+            }]
         )
         .is_err());
         assert!(TrafficMatrix::new(
             &t,
-            vec![Demand { src: 0, dst: 1, amount: 0.0 }]
+            vec![Demand {
+                src: 0,
+                dst: 1,
+                amount: 0.0
+            }]
         )
         .is_err());
         assert!(TrafficMatrix::new(
             &t,
-            vec![Demand { src: 0, dst: 1, amount: -2.0 }]
+            vec![Demand {
+                src: 0,
+                dst: 1,
+                amount: -2.0
+            }]
         )
         .is_err());
     }

@@ -37,8 +37,16 @@ pub fn elephant_mice<R: Rng>(
     for i in 0..n_elephants {
         let (u, v) = (pool[2 * i], pool[2 * i + 1]);
         let amt = topo.servers_at(u).min(topo.servers_at(v)) as f64 * elephant_fraction;
-        demands.push(Demand { src: u, dst: v, amount: amt });
-        demands.push(Demand { src: v, dst: u, amount: amt });
+        demands.push(Demand {
+            src: u,
+            dst: v,
+            amount: amt,
+        });
+        demands.push(Demand {
+            src: v,
+            dst: u,
+            amount: amt,
+        });
     }
     for &u in &k {
         let others: Vec<u32> = k.iter().copied().filter(|&v| v != u).collect();
@@ -46,7 +54,11 @@ pub fn elephant_mice<R: Rng>(
         let each = amt / others.len() as f64;
         if each > 0.0 {
             for &v in &others {
-                demands.push(Demand { src: u, dst: v, amount: each });
+                demands.push(Demand {
+                    src: u,
+                    dst: v,
+                    amount: each,
+                });
             }
         }
     }

@@ -4,35 +4,33 @@
 //! Environment variables are configuration surface: README documents
 //! them, CI jobs set them, and EXPERIMENTS.md measurements are only
 //! reproducible if the knobs they were taken under are identifiable. A
-//! raw `std::env::var("DCN_…")` call site used to be able to invent a
-//! knob (or typo an existing one) silently. Now clippy's
-//! `disallowed-methods` rejects raw reads outside this module, and
-//! `dcn-lint`'s `env-registry` rule requires every `DCN_*` name to be
-//! one of the [`EnvVar`] constants below and every constant to be read
-//! somewhere — so unknown and dead variables both fail CI, exactly as
-//! metric names are policed by `dcn_obs::names`.
+//! raw `std::env::var("DCN_…")` call site could invent a knob (or typo
+//! an existing one) silently. Now clippy's `disallowed-methods` rejects
+//! raw reads (`var`, `var_os`, `vars`, `vars_os`) outside this module,
+//! and [`EnvVar`]'s fields are private, so the constants below are the
+//! only knobs a crate can read. The tests in
+//! `crates/obs/tests/registry.rs` fail on a constant missing from
+//! [`ALL`], on one no source reads, and on a README table that differs
+//! from [`readme_table`] (the failing test prints the table to paste).
 //!
 //! The registry lives in `dcn-obs`, the bottom of the crate stack, so
 //! every crate (obs itself included) reads its knobs through
-//! `dcn_obs::env` without a dependency cycle. The README's environment-variable table is
-//! generated from [`ALL`] (`cargo run -p dcn-lint -- --env-table`) and
-//! checked for drift by the same lint rule.
+//! `dcn_obs::env` without a dependency cycle.
 //!
 //! Test-only variables (e.g. the fault-injection harness's
-//! `DCN_FAULT_TEST_*` hooks) are deliberately not registered: the rule
-//! scopes to library/binary code, and test knobs are not user surface.
+//! `DCN_FAULT_TEST_*` hooks) are deliberately not registered: test
+//! knobs are not user surface.
 
 /// One registered environment variable: its name, a human-readable
-/// default, and a one-line description. The `name` field must be the
-/// first field textually — the lint registry parser keys on it.
+/// default, and a one-line description. Only this module can build one.
 #[derive(Debug, Clone, Copy)]
 pub struct EnvVar {
-    /// The variable name, `DCN_` upper-snake (enforced by `dcn-lint`).
-    pub name: &'static str,
+    /// The variable name, `DCN_` upper-snake.
+    name: &'static str,
     /// Human-readable default, for the README table (not parsed).
-    pub default: &'static str,
+    default: &'static str,
     /// One-line description, for the README table.
-    pub doc: &'static str,
+    doc: &'static str,
 }
 
 impl EnvVar {
@@ -139,8 +137,7 @@ pub const DCND_GLOBAL_DEADLINE_MS: EnvVar = EnvVar {
     doc: "Global wall-clock budget for all cold solves in a `dcnd` process, anchored at startup; once exhausted, warm queries still answer from cache and cold queries get a typed `rejected` response (`0` rejects every cold solve immediately).",
 };
 
-/// Every registered variable, in README-table order. The lint rule and
-/// the `--env-table` generator both key on this list.
+/// Every registered variable, in README-table order.
 pub const ALL: &[&EnvVar] = &[
     &OBS,
     &VALIDATE,
@@ -152,6 +149,16 @@ pub const ALL: &[&EnvVar] = &[
     &DCND_SOCKET,
     &DCND_GLOBAL_DEADLINE_MS,
 ];
+
+/// The README's environment-variable table (between the `dcn-env`
+/// markers), rendered from [`ALL`].
+pub fn readme_table() -> String {
+    let mut s = String::from("| Variable | Default | Description |\n|---|---|---|\n");
+    for v in ALL {
+        s.push_str(&format!("| `{}` | {} | {} |\n", v.name, v.default, v.doc));
+    }
+    s
+}
 
 #[cfg(test)]
 mod tests {

@@ -344,9 +344,8 @@ impl Parser<'_> {
                             if self.i + 4 >= self.b.len() {
                                 return Err(self.err("truncated \\u escape"));
                             }
-                            let hex =
-                                std::str::from_utf8(&self.b[self.i + 1..self.i + 5])
-                                    .map_err(|_| self.err("bad \\u escape"))?;
+                            let hex = std::str::from_utf8(&self.b[self.i + 1..self.i + 5])
+                                .map_err(|_| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));

@@ -45,12 +45,15 @@
 
 pub mod env;
 pub mod json;
+pub mod lock;
 pub mod manifest;
 pub mod names;
 pub mod trace;
 
+use lock::{Rank, Ranked};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+#[expect(clippy::disallowed_types, reason = "lock-free relaxed metric cells")]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -100,27 +103,17 @@ pub fn enabled() -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Instant events
-
-/// Records an instant event (e.g. a cache hit) in the per-event trace;
-/// a single `OnceLock` load when tracing is inactive. `name` should be a
-/// `dcn_obs::names` constant so traces and manifests stay in sync (the
-/// `metric-registry` lint checks call sites).
-#[inline]
-pub fn trace_instant(name: &str) {
-    trace::record(trace::Phase::Instant, name);
-}
-
-// ---------------------------------------------------------------------------
 // Metrics
 
 /// A monotonically increasing counter.
 #[derive(Debug)]
+#[expect(clippy::disallowed_types, reason = "lock-free relaxed metric cells")]
 pub struct Counter {
     val: AtomicU64,
 }
 
 impl Counter {
+    #[expect(clippy::disallowed_types, reason = "lock-free relaxed metric cells")]
     const fn new() -> Self {
         Counter {
             val: AtomicU64::new(0),
@@ -151,11 +144,13 @@ impl Counter {
 
 /// A last-write-wins `f64` gauge.
 #[derive(Debug)]
+#[expect(clippy::disallowed_types, reason = "lock-free relaxed metric cells")]
 pub struct Gauge {
     bits: AtomicU64,
 }
 
 impl Gauge {
+    #[expect(clippy::disallowed_types, reason = "lock-free relaxed metric cells")]
     const fn new() -> Self {
         Gauge {
             bits: AtomicU64::new(0),
@@ -192,6 +187,7 @@ const N_BUCKETS: usize = ((MAX_EXP - MIN_EXP) as usize) * SUBBUCKETS + 2;
 /// running sum — no locks, no allocation.
 /// Quantiles are estimated as the geometric midpoint of the bucket holding
 /// the requested rank, giving ~9% relative accuracy.
+#[expect(clippy::disallowed_types, reason = "lock-free relaxed metric cells")]
 pub struct Histogram {
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
@@ -201,6 +197,7 @@ pub struct Histogram {
 }
 
 impl Histogram {
+    #[expect(clippy::disallowed_types, reason = "lock-free relaxed metric cells")]
     fn new() -> Self {
         let mut buckets = Vec::with_capacity(N_BUCKETS);
         buckets.resize_with(N_BUCKETS, || AtomicU64::new(0));
@@ -343,20 +340,20 @@ struct Registry {
     metrics: Vec<(&'static str, Metric)>,
 }
 
-static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
-    metrics: Vec::new(),
-});
+static REGISTRY: Ranked<Mutex<Registry>> = Ranked::new(
+    Rank::Registry,
+    Mutex::new(Registry {
+        metrics: Vec::new(),
+    }),
+);
 
 fn register(name: &'static str, m: Metric) {
-    REGISTRY
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .metrics
-        .push((name, m));
+    REGISTRY.lock().metrics.push((name, m));
 }
 
 /// Registers (or creates) a counter. Use the [`counter!`] macro at call
-/// sites — it caches this lookup in a per-site static.
+/// sites — it caches this lookup in a per-site static and checks the
+/// name against [`names::ALL`].
 pub fn register_counter(name: &'static str) -> &'static Counter {
     let c: &'static Counter = Box::leak(Box::new(Counter::new()));
     register(name, Metric::Counter(c));
@@ -377,13 +374,30 @@ pub fn register_histogram(name: &'static str) -> &'static Histogram {
     h
 }
 
+/// Yields `$name` after checking at compile time that it is one of
+/// [`names::ALL`]; the shared front half of the metric macros. A name
+/// that is not a registered constant, or not a constant at all, fails
+/// the build.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! registered_name {
+    ($name:expr) => {{
+        const DCN_METRIC_NAME: &str = $name;
+        const _: () = assert!(
+            $crate::names::registered(DCN_METRIC_NAME),
+            "metric names must be dcn_obs::names constants listed in names::ALL"
+        );
+        DCN_METRIC_NAME
+    }};
+}
+
 /// Returns a registered counter, creating a call-site static via macro.
+/// `$name` must be a [`names`] constant (checked at compile time).
 #[macro_export]
 macro_rules! counter {
     ($name:expr) => {{
-        static SITE: ::std::sync::OnceLock<&'static $crate::Counter> =
-            ::std::sync::OnceLock::new();
-        *SITE.get_or_init(|| $crate::register_counter($name))
+        static SITE: ::std::sync::OnceLock<&'static $crate::Counter> = ::std::sync::OnceLock::new();
+        *SITE.get_or_init(|| $crate::register_counter($crate::registered_name!($name)))
     }};
 }
 
@@ -391,9 +405,8 @@ macro_rules! counter {
 #[macro_export]
 macro_rules! gauge {
     ($name:expr) => {{
-        static SITE: ::std::sync::OnceLock<&'static $crate::Gauge> =
-            ::std::sync::OnceLock::new();
-        *SITE.get_or_init(|| $crate::register_gauge($name))
+        static SITE: ::std::sync::OnceLock<&'static $crate::Gauge> = ::std::sync::OnceLock::new();
+        *SITE.get_or_init(|| $crate::register_gauge($crate::registered_name!($name)))
     }};
 }
 
@@ -403,8 +416,18 @@ macro_rules! histogram {
     ($name:expr) => {{
         static SITE: ::std::sync::OnceLock<&'static $crate::Histogram> =
             ::std::sync::OnceLock::new();
-        *SITE.get_or_init(|| $crate::register_histogram($name))
+        *SITE.get_or_init(|| $crate::register_histogram($crate::registered_name!($name)))
     }};
+}
+
+/// Records an instant event (e.g. a cache hit) in the per-event trace;
+/// a single `OnceLock` load when tracing is inactive. `$name` must be a
+/// [`names`] constant (checked at compile time).
+#[macro_export]
+macro_rules! trace_instant {
+    ($name:expr) => {
+        $crate::trace::instant($crate::registered_name!($name))
+    };
 }
 
 /// Emits a diagnostic line to stderr in `trace` mode only; `off` and
@@ -432,7 +455,8 @@ pub struct SpanStat {
     pub self_secs: f64,
 }
 
-static SPANS: Mutex<BTreeMap<String, SpanStat>> = Mutex::new(BTreeMap::new());
+static SPANS: Ranked<Mutex<BTreeMap<String, SpanStat>>> =
+    Ranked::new(Rank::Spans, Mutex::new(BTreeMap::new()));
 
 struct SpanFrame {
     path: String,
@@ -520,11 +544,10 @@ impl Drop for SpanGuard {
             if let Some(parent) = stack.last_mut() {
                 parent.child_secs += elapsed;
             }
-            // Poison recovery rather than a panic inside Drop: a panic
-            // while this mutex is held elsewhere must not cascade into an
-            // abort; span totals are plain accumulators, valid regardless
-            // of where another thread unwound.
-            let mut spans = SPANS.lock().unwrap_or_else(|e| e.into_inner());
+            // `lock` recovers a poisoned table rather than panicking
+            // inside Drop: span totals are plain accumulators, valid
+            // regardless of where another thread unwound.
+            let mut spans = SPANS.lock();
             let stat = spans.entry(frame.path).or_default();
             stat.count += 1;
             stat.total_secs += elapsed;
@@ -533,13 +556,14 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Opens a scoped span timer: `let _g = span!("mcf.fptas.solve");`.
-/// Hierarchy is tracked per thread; nested spans report under
-/// `parent/child` paths.
+/// Opens a scoped span timer:
+/// `let _g = span!(dcn_obs::names::MCF_FPTAS_SOLVE);`. Hierarchy is
+/// tracked per thread; nested spans report under `parent/child` paths.
+/// `$name` must be a [`names`] constant (checked at compile time).
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
-        $crate::SpanGuard::enter($name)
+        $crate::SpanGuard::enter($crate::registered_name!($name))
     };
 }
 
@@ -561,7 +585,6 @@ pub fn time_scope<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, f64) {
 pub fn span_snapshot() -> Vec<(String, SpanStat)> {
     SPANS
         .lock()
-        .unwrap_or_else(|e| e.into_inner())
         .iter()
         .map(|(k, v)| (k.clone(), v.clone()))
         .collect()
@@ -585,7 +608,7 @@ pub struct MetricSnapshot {
 pub fn snapshot() -> Vec<MetricSnapshot> {
     let mut out = Vec::new();
     {
-        let reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+        let reg = REGISTRY.lock();
         for (name, m) in &reg.metrics {
             let snap = match m {
                 Metric::Counter(c) => MetricSnapshot {
@@ -689,7 +712,7 @@ fn trim_num(v: f64) -> String {
 /// Zeroes every metric and clears span statistics (test support; metric
 /// statics stay registered).
 pub fn reset() {
-    let reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let reg = REGISTRY.lock();
     for (_, m) in &reg.metrics {
         match m {
             Metric::Counter(c) => c.reset(),
@@ -697,13 +720,13 @@ pub fn reset() {
             Metric::Histogram(h) => h.reset(),
         }
     }
-    SPANS.lock().unwrap_or_else(|e| e.into_inner()).clear();
+    SPANS.lock().clear();
 }
 
 /// Current value of a registered counter by name (0 if absent; sums
 /// duplicates). Test/diagnostic support.
 pub fn counter_value(name: &str) -> u64 {
-    let reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let reg = REGISTRY.lock();
     reg.metrics
         .iter()
         .filter(|(n, _)| *n == name)
@@ -719,20 +742,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_macro_caches_and_counts() {
-        let c = counter!("obs.test.counter_macro");
+    fn counter_macro_caches_per_site_and_counts() {
+        let site = || counter!(names::TRACE_EVENTS_DROPPED);
+        let c = site();
         let before = c.get();
         for _ in 0..100 {
-            counter!("obs.test.counter_macro_inner").inc();
+            site().inc();
         }
-        c.add(5);
-        assert_eq!(c.get(), before + 5);
-        assert!(counter_value("obs.test.counter_macro_inner") >= 100);
+        assert!(std::ptr::eq(c, site()), "one registration per call site");
+        assert_eq!(c.get(), before + 100);
+        assert!(counter_value(names::TRACE_EVENTS_DROPPED) >= 100);
     }
 
     #[test]
     fn gauge_stores_f64() {
-        let g = gauge!("obs.test.gauge");
+        let g = register_gauge("obs.test.gauge");
         g.set(0.125);
         assert_eq!(g.get(), 0.125);
         g.set(-3.5);

@@ -44,7 +44,12 @@ impl RunManifest {
     ///
     /// `wall_seconds` is supplied by the caller (typically measured from
     /// process start) so manifests are meaningful even under `DCN_OBS=off`.
-    pub fn capture(name: &str, seed: Option<u64>, wall_seconds: f64, threads: usize) -> RunManifest {
+    pub fn capture(
+        name: &str,
+        seed: Option<u64>,
+        wall_seconds: f64,
+        threads: usize,
+    ) -> RunManifest {
         let metrics = snapshot()
             .into_iter()
             .map(|m: MetricSnapshot| ManifestMetric {
@@ -178,6 +183,7 @@ impl RunManifest {
 
     /// Writes the manifest next to a results file, as `<stem>.manifest.json`.
     pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
+        crate::lock::assert_unlocked("RunManifest::write_to");
         let mut f = std::fs::File::create(path)?;
         f.write_all(self.to_json().as_bytes())?;
         f.write_all(b"\n")

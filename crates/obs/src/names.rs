@@ -4,16 +4,19 @@
 //! key on them, EXPERIMENTS.md's triage notes reference them, and the
 //! fallback-provenance counters (`mcf.fallback.exact_to_fptas`,
 //! `core.tub.fallbacks`) are how a reviewer tells a clean solve from a
-//! degraded one. A typo at a call site used to silently fork a metric;
-//! now `dcn-lint`'s `metric-registry` rule requires every
-//! `counter!`/`gauge!`/`histogram!`/`span!` call site to pass one of the
-//! constants below (never a raw string), and requires every constant to be
-//! used somewhere — so typos fail CI and dead metrics get deleted instead
-//! of lingering in manifests.
+//! degraded one. A typo at a call site would silently fork a metric, so
+//! the [`counter!`](crate::counter), [`gauge!`](crate::gauge),
+//! [`histogram!`](crate::histogram), [`span!`](crate::span) and
+//! [`trace_instant!`](crate::trace_instant) macros bind their argument to
+//! a `const` and assert at compile time that [`ALL`] holds it: an
+//! unregistered string, or a name computed at run time, does not build.
+//! The tests in `crates/obs/tests/registry.rs` fail on a constant that
+//! [`ALL`] lacks or that nothing outside this file references, so dead
+//! metrics get deleted instead of lingering in manifests.
 //!
 //! Naming convention: `<crate>.<module>.<event>`, lower-case, dot-
-//! separated (enforced by a test below and by the lint rule). Constants
-//! are grouped by owning crate.
+//! separated (enforced by the tests below). Constants are grouped by
+//! owning crate.
 
 // --- dcn-graph -------------------------------------------------------------
 
@@ -202,7 +205,7 @@ pub const DCND_BATCH: &str = "dcnd.batch";
 /// One cold query solve inside a batch (span).
 pub const DCND_SOLVE: &str = "dcnd.solve";
 
-/// Every registered name, for exhaustiveness tests and tooling.
+/// Every registered name. The metric macros accept only these.
 pub const ALL: &[&str] = &[
     GRAPH_KSP_SPUR_SEARCHES,
     GRAPH_KSP_CANDIDATES,
@@ -278,9 +281,36 @@ pub const ALL: &[&str] = &[
     DCND_SOLVE,
 ];
 
+/// True when `name` is one of [`ALL`]: the compile-time check behind the
+/// metric macros.
+pub const fn registered(name: &str) -> bool {
+    let mut i = 0;
+    while i < ALL.len() {
+        let (a, b) = (ALL[i].as_bytes(), name.as_bytes());
+        if a.len() == b.len() {
+            let mut j = 0;
+            while j < a.len() && a[j] == b[j] {
+                j += 1;
+            }
+            if j == a.len() {
+                return true;
+            }
+        }
+        i += 1;
+    }
+    false
+}
+
 #[cfg(test)]
 mod tests {
-    use super::ALL;
+    use super::{registered, ALL};
+
+    #[test]
+    fn registered_matches_whole_names_only() {
+        assert!(registered(super::CACHE_HIT));
+        assert!(!registered("cache.hi"));
+        assert!(!registered("cache.hit.x"));
+    }
 
     #[test]
     fn names_are_unique() {

@@ -22,7 +22,7 @@
 //!
 //! * Span enter → `ph: "B"`, span exit → `ph: "E"`, paired per thread
 //!   (spans nest per-thread, so B/E pairing is structural).
-//! * [`crate::trace_instant`] → `ph: "i"` (thread-scoped instant), used
+//! * [`trace_instant!`](crate::trace_instant) → `ph: "i"` (thread-scoped instant), used
 //!   by `dcn-cache` for hit/miss/disk-hit events.
 //! * Timestamps are monotonic nanoseconds from one process-wide origin
 //!   (exported as fractional microseconds, the format's native unit);
@@ -31,7 +31,8 @@
 //! # Memory behaviour
 //!
 //! Each thread appends to its own buffer (no locks on the hot path); a
-//! buffer is drained into the global store under a mutex when it reaches
+//! buffer is drained into the global store under a ranked mutex
+//! ([`crate::lock::Rank::Drained`]) when it reaches
 //! 8,192 events or when its thread exits. `dcn-exec` joins its workers
 //! before `par_map` returns, so by flush time every worker-thread event
 //! has been drained; only threads still live and un-drained at flush
@@ -40,7 +41,10 @@
 //! past the cap bump the `trace.events.dropped` counter instead of
 //! allocating.
 
+#![expect(clippy::disallowed_types, reason = "relaxed event and tid counters")]
+
 use crate::json::Json;
+use crate::lock::{assert_unlocked, Rank, Ranked};
 use std::cell::RefCell;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,7 +81,7 @@ struct Event {
 /// of every thread, and the running event count the cap is checked on.
 struct Tracer {
     origin: Instant,
-    drained: Mutex<Vec<Event>>,
+    drained: Ranked<Mutex<Vec<Event>>>,
     total: AtomicU64,
 }
 
@@ -114,7 +118,7 @@ impl Tracer {
     fn new() -> Tracer {
         Tracer {
             origin: Instant::now(),
-            drained: Mutex::new(Vec::new()),
+            drained: Ranked::new(Rank::Drained, Mutex::new(Vec::new())),
             total: AtomicU64::new(0),
         }
     }
@@ -123,10 +127,7 @@ impl Tracer {
         if events.is_empty() {
             return;
         }
-        self.drained
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .append(events);
+        self.drained.lock().append(events);
     }
 
     fn record(&self, phase: Phase, path: &str) {
@@ -166,6 +167,14 @@ pub(crate) fn record(phase: Phase, path: &str) {
     }
 }
 
+/// Records the instant event `name`; call sites use
+/// [`trace_instant!`](crate::trace_instant), which checks the name
+/// against [`crate::names::ALL`].
+#[inline]
+pub fn instant(name: &'static str) {
+    record(Phase::Instant, name);
+}
+
 /// Starts recording when the environment asks for per-event export:
 /// `DCN_TRACE_FILE` set (explicit output path) or `DCN_OBS=trace`.
 /// Idempotent, and permanent once started — spans must not flicker
@@ -193,6 +202,7 @@ pub fn active() -> bool {
 /// Returns the number of events written. An error is returned if
 /// tracing is not active.
 pub fn flush_to_file(path: &Path) -> std::io::Result<usize> {
+    assert_unlocked("trace::flush_to_file");
     let Some(tracer) = TRACER.get() else {
         return Err(std::io::Error::other("dcn-obs: tracing is not active"));
     };
@@ -205,10 +215,9 @@ pub fn flush_to_file(path: &Path) -> std::io::Result<usize> {
     });
     // Serialize under the guard, write with it released: holding the
     // drain mutex across file I/O would stall every thread that fills its
-    // local buffer during the write (and is exactly what the lint's
-    // blocking-under-lock rule rejects).
+    // local buffer during the write.
     let (n, body) = {
-        let guard = tracer.drained.lock().unwrap_or_else(|e| e.into_inner());
+        let guard = tracer.drained.lock();
         let mut order: Vec<usize> = (0..guard.len()).collect();
         // Stable by timestamp: same-thread events keep their buffer order,
         // so B/E pairs at equal ns timestamps never invert.

@@ -3,7 +3,9 @@
 //! counter increments, nested-span attribution, and manifest round-trips.
 //!
 //! All tests share one process, so observability is forced on once before
-//! the mode is first read (spans are inert under the default `off`).
+//! the mode is first read (spans are inert under the default `off`). The
+//! metric macros accept only registered names, so these tests register
+//! their own test-only names through the functions the macros call.
 
 #![expect(
     clippy::disallowed_methods,
@@ -11,7 +13,7 @@
 )]
 
 use dcn_obs::manifest::RunManifest;
-use dcn_obs::{counter, gauge, histogram, span};
+use dcn_obs::{register_counter, register_gauge, register_histogram, SpanGuard};
 use std::sync::OnceLock;
 
 /// Forces `DCN_OBS=summary` before anything reads the mode.
@@ -26,7 +28,7 @@ fn init() {
 #[test]
 fn histogram_quantiles_on_uniform_distribution() {
     init();
-    let h = histogram!("obs.itest.uniform");
+    let h = register_histogram("obs.itest.uniform");
     for v in 1..=1000u64 {
         h.record_u64(v);
     }
@@ -46,7 +48,7 @@ fn histogram_quantiles_on_uniform_distribution() {
 #[test]
 fn histogram_quantiles_on_bimodal_distribution() {
     init();
-    let h = histogram!("obs.itest.bimodal");
+    let h = register_histogram("obs.itest.bimodal");
     // 90 samples at ~1ms, 10 at ~1s: p50 must sit in the low mode, p99 in
     // the high one — the shape a solver's per-phase timing typically has.
     for _ in 0..90 {
@@ -65,7 +67,7 @@ fn histogram_quantiles_on_bimodal_distribution() {
 #[test]
 fn histogram_extremes_clamp_not_panic() {
     init();
-    let h = histogram!("obs.itest.extremes");
+    let h = register_histogram("obs.itest.extremes");
     for v in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e300, 1e-300] {
         h.record(v);
     }
@@ -78,7 +80,7 @@ fn histogram_sum_of_nanosecond_samples_does_not_wrap() {
     init();
     // 25 s of busy time recorded in nanoseconds, as `exec.pool.worker_busy_ns`
     // does: a sum kept in integer nano-units would overflow u64 at ~18 s.
-    let h = histogram!("obs.itest.ns_sum");
+    let h = register_histogram("obs.itest.ns_sum");
     for _ in 0..25 {
         h.record(1e9);
     }
@@ -90,7 +92,7 @@ fn concurrent_histogram_sums_lose_nothing() {
     init();
     const THREADS: usize = 8;
     const PER_THREAD: u64 = 5_000;
-    let h = histogram!("obs.itest.concurrent_sum");
+    let h = register_histogram("obs.itest.concurrent_sum");
     std::thread::scope(|s| {
         for _ in 0..THREADS {
             s.spawn(|| {
@@ -110,11 +112,12 @@ fn concurrent_counter_increments_lose_nothing() {
     const THREADS: usize = 8;
     const PER_THREAD: u64 = 20_000;
     let before = dcn_obs::counter_value("obs.itest.concurrent");
+    let c = register_counter("obs.itest.concurrent");
     std::thread::scope(|s| {
         for _ in 0..THREADS {
             s.spawn(|| {
                 for _ in 0..PER_THREAD {
-                    counter!("obs.itest.concurrent").inc();
+                    c.inc();
                 }
             });
         }
@@ -127,10 +130,10 @@ fn concurrent_counter_increments_lose_nothing() {
 fn nested_spans_attribute_child_time_to_parent_total_only() {
     init();
     {
-        let _outer = span!("obs.itest.outer");
+        let _outer = SpanGuard::enter("obs.itest.outer");
         std::thread::sleep(std::time::Duration::from_millis(30));
         {
-            let _inner = span!("obs.itest.inner");
+            let _inner = SpanGuard::enter("obs.itest.inner");
             std::thread::sleep(std::time::Duration::from_millis(30));
         }
     }
@@ -147,8 +150,16 @@ fn nested_spans_attribute_child_time_to_parent_total_only() {
     assert_eq!(outer.count, 1);
     assert_eq!(inner.count, 1);
     // Outer total covers both sleeps; outer self excludes the inner one.
-    assert!(outer.total_secs >= 0.055, "outer total {}", outer.total_secs);
-    assert!(inner.total_secs >= 0.025, "inner total {}", inner.total_secs);
+    assert!(
+        outer.total_secs >= 0.055,
+        "outer total {}",
+        outer.total_secs
+    );
+    assert!(
+        inner.total_secs >= 0.025,
+        "inner total {}",
+        inner.total_secs
+    );
     assert!(
         outer.self_secs <= outer.total_secs - inner.total_secs + 0.02,
         "outer self {} should exclude inner {}",
@@ -171,14 +182,18 @@ fn time_scope_returns_value_and_elapsed() {
 #[test]
 fn manifest_captures_registry_and_round_trips() {
     init();
-    counter!("obs.itest.manifest_counter").add(7);
-    gauge!("obs.itest.manifest_gauge").set(0.75);
-    histogram!("obs.itest.manifest_hist").record(2.0);
+    register_counter("obs.itest.manifest_counter").add(7);
+    register_gauge("obs.itest.manifest_gauge").set(0.75);
+    register_histogram("obs.itest.manifest_hist").record(2.0);
     let m = RunManifest::capture("itest", Some(1234), 0.5, 4);
     assert_eq!(m.seed, Some(1234));
     assert_eq!(m.threads, 4);
     assert_eq!(m.mode, "summary");
-    assert!(m.metric_field("obs.itest.manifest_counter", "value").unwrap() >= 7.0);
+    assert!(
+        m.metric_field("obs.itest.manifest_counter", "value")
+            .unwrap()
+            >= 7.0
+    );
     assert_eq!(
         m.metric_field("obs.itest.manifest_gauge", "value"),
         Some(0.75)
@@ -201,9 +216,12 @@ fn manifest_captures_registry_and_round_trips() {
 #[test]
 fn summary_lists_live_metrics_only() {
     init();
-    counter!("obs.itest.summary_live").inc();
-    let _dead = counter!("obs.itest.summary_dead");
+    register_counter("obs.itest.summary_live").inc();
+    let _dead = register_counter("obs.itest.summary_dead");
     let text = dcn_obs::summary();
     assert!(text.contains("obs.itest.summary_live"));
-    assert!(!text.contains("obs.itest.summary_dead"), "zero counters elided");
+    assert!(
+        !text.contains("obs.itest.summary_dead"),
+        "zero counters elided"
+    );
 }

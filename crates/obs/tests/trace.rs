@@ -22,17 +22,17 @@ fn flushed_trace_round_trips_and_pairs() {
     assert!(dcn_obs::trace::active());
 
     {
-        let _outer = dcn_obs::span!("test.outer");
+        let _outer = dcn_obs::SpanGuard::enter("test.outer");
         {
-            let _inner = dcn_obs::span!("test.inner");
-            dcn_obs::trace_instant("test.instant");
+            let _inner = dcn_obs::SpanGuard::enter("test.inner");
+            dcn_obs::trace::instant("test.instant");
         }
-        let _again = dcn_obs::span!("test.inner");
+        let _again = dcn_obs::SpanGuard::enter("test.inner");
     }
     // A short-lived thread: its buffer drains to the global store on exit,
     // so its events must survive the join and appear under their own tid.
     std::thread::spawn(|| {
-        let _s = dcn_obs::span!("test.worker");
+        let _s = dcn_obs::SpanGuard::enter("test.worker");
     })
     .join()
     .expect("worker thread");
@@ -97,7 +97,7 @@ fn flushed_trace_round_trips_and_pairs() {
     assert!(tids.len() >= 2, "worker thread events missing");
 
     // A second flush is a superset rewrite, never a truncation.
-    let _extra = dcn_obs::span!("test.later");
+    let _extra = dcn_obs::SpanGuard::enter("test.later");
     drop(_extra);
     let n2 = dcn_obs::trace::flush_to_file(&path).expect("re-flush");
     assert!(n2 >= n + 2, "second flush must include earlier events");

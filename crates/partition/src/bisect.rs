@@ -113,7 +113,8 @@ fn multilevel_bisect<R: Rng>(
             None => break,
         }
     }
-    dcn_obs::histogram!(dcn_obs::names::PARTITION_BISECT_COARSEN_LEVELS).record_u64(levels.len() as u64);
+    dcn_obs::histogram!(dcn_obs::names::PARTITION_BISECT_COARSEN_LEVELS)
+        .record_u64(levels.len() as u64);
     // Initial partition of the coarsest graph: greedy BFS region growing
     // from a random seed until half the weight is collected.
     let mut side = grow_partition(&cur, rng);
@@ -161,10 +162,9 @@ fn grow_partition<R: Rng>(g: &WGraph, rng: &mut R) -> Vec<u8> {
         // unvisited node for disconnected graphs.
         let mut best: Option<(usize, f64)> = None;
         for v in 0..n {
-            if !in_region[v] && conn[v] > 0.0
-                && best.is_none_or(|(_, bw)| conn[v] > bw) {
-                    best = Some((v, conn[v]));
-                }
+            if !in_region[v] && conn[v] > 0.0 && best.is_none_or(|(_, bw)| conn[v] > bw) {
+                best = Some((v, conn[v]));
+            }
         }
         cur = match best {
             Some((v, _)) => v,
@@ -195,7 +195,9 @@ impl CacheEntry for CachedCut {
     }
 
     fn from_json(json: &dcn_obs::json::Json) -> Result<Self, String> {
-        json.as_f64().map(CachedCut).ok_or_else(|| "expected a number".into())
+        json.as_f64()
+            .map(CachedCut)
+            .ok_or_else(|| "expected a number".into())
     }
 
     fn validate(&self) -> Result<(), String> {
@@ -246,6 +248,7 @@ pub fn has_full_bisection(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact oracles and bit-identical reruns")]
 mod tests {
     use super::*;
     use dcn_cache::prelude::*;
@@ -347,6 +350,7 @@ mod tests {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact oracles and bit-identical reruns")]
 mod exhaustive_tests {
     use super::*;
     use dcn_cache::prelude::*;
@@ -423,6 +427,9 @@ mod exhaustive_tests {
         .unwrap();
         let t = Topology::new(g, vec![2; 6], "dumbbell").unwrap();
         assert_eq!(exhaustive_best_cut(&t), 1.0);
-        assert_eq!(bisection_bandwidth(&t, 8, 3, &unlimited_ctx()).unwrap(), 1.0);
+        assert_eq!(
+            bisection_bandwidth(&t, 8, 3, &unlimited_ctx()).unwrap(),
+            1.0
+        );
     }
 }

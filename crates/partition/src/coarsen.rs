@@ -25,10 +25,9 @@ pub(crate) fn coarsen_once<R: Rng>(g: &WGraph, rng: &mut R) -> Option<Level> {
         }
         let mut best: Option<(u32, f64)> = None;
         for &(v, w) in &g.adj[u as usize] {
-            if mate[v as usize] == u32::MAX && v != u
-                && best.is_none_or(|(_, bw)| w > bw) {
-                    best = Some((v, w));
-                }
+            if mate[v as usize] == u32::MAX && v != u && best.is_none_or(|(_, bw)| w > bw) {
+                best = Some((v, w));
+            }
         }
         match best {
             Some((v, _)) => {
@@ -88,6 +87,7 @@ pub(crate) fn coarsen_once<R: Rng>(g: &WGraph, rng: &mut R) -> Option<Level> {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact oracles and bit-identical reruns")]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

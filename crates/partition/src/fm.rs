@@ -129,6 +129,7 @@ pub(crate) fn refine(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact oracles and bit-identical reruns")]
 mod tests {
     use super::*;
     use dcn_guard::Budget;

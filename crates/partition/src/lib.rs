@@ -26,6 +26,7 @@
 
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::float_cmp, clippy::float_cmp_const)]
 
 pub mod bisect;
 pub mod coarsen;

@@ -38,7 +38,9 @@ pub fn sparsest_cut_sweep(topo: &Topology, iters: usize) -> SweepCut {
         .collect();
     let c = 2.0 * deg.iter().cloned().fold(0.0, f64::max) + 1.0;
     // Power iteration on (cI - L) x = c x - deg x + A x, deflating 1.
-    let mut x: Vec<f64> = (0..n).map(|i| ((i * 2654435761) % 1000) as f64 / 1000.0 - 0.5).collect();
+    let mut x: Vec<f64> = (0..n)
+        .map(|i| ((i * 2654435761) % 1000) as f64 / 1000.0 - 0.5)
+        .collect();
     deflate(&mut x);
     normalize(&mut x);
     let mut y = vec![0.0f64; n];
@@ -110,6 +112,7 @@ fn normalize(x: &mut [f64]) {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact oracles and bit-identical reruns")]
 mod tests {
     use super::*;
     use dcn_graph::Graph;

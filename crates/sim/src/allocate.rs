@@ -202,7 +202,13 @@ mod tests {
         let t = line3();
         let flows = routed(
             &t,
-            &[(0, 2, 1.0), (0, 2, 1.0), (2, 0, 1.0), (0, 1, 1.0), (1, 2, 1.0)],
+            &[
+                (0, 2, 1.0),
+                (0, 2, 1.0),
+                (2, 0, 1.0),
+                (0, 1, 1.0),
+                (1, 2, 1.0),
+            ],
         );
         let a = max_min_rates(&t, &flows);
         assert!(a.max_utilization() <= 1.0 + 1e-9);

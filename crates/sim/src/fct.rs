@@ -138,7 +138,11 @@ mod tests {
     fn sized(t: &Topology, specs: &[(u32, u32, f64)]) -> Vec<SizedFlow> {
         let flows: Vec<Flow> = specs
             .iter()
-            .map(|&(src, dst, _)| Flow { src, dst, demand: 1.0 })
+            .map(|&(src, dst, _)| Flow {
+                src,
+                dst,
+                demand: 1.0,
+            })
             .collect();
         let routed = PathPolicy::EcmpHash.route_all(t, &flows, 1).unwrap();
         routed
@@ -261,8 +265,10 @@ pub fn run_open_loop(topo: &Topology, arrivals: &[ArrivingFlow]) -> FctReport {
             }
         }
         // Rates for the in-flight set.
-        let routed: Vec<RoutedFlow> =
-            active.iter().map(|&i| arrivals[i].flow.routed.clone()).collect();
+        let routed: Vec<RoutedFlow> = active
+            .iter()
+            .map(|&i| arrivals[i].flow.routed.clone())
+            .collect();
         let alloc = max_min_rates(topo, &routed);
         // Time to next completion...
         let mut dt = f64::INFINITY;
@@ -327,7 +333,11 @@ mod open_loop_tests {
     fn arriving(t: &Topology, specs: &[(u32, u32, f64, f64)]) -> Vec<ArrivingFlow> {
         let flows: Vec<Flow> = specs
             .iter()
-            .map(|&(src, dst, _, _)| Flow { src, dst, demand: 1.0 })
+            .map(|&(src, dst, _, _)| Flow {
+                src,
+                dst,
+                demand: 1.0,
+            })
             .collect();
         let routed = PathPolicy::EcmpHash.route_all(t, &flows, 1).unwrap();
         routed
@@ -369,8 +379,16 @@ mod open_loop_tests {
         // t=3, B has 0.5... wait B finishes: B needs 1 at 0.5 → t=3 too.
         let fs = arriving(&t, &[(0, 1, 2.0, 0.0), (0, 1, 1.0, 1.0)]);
         let r = run_open_loop(&t, &fs);
-        assert!((r.outcomes[0].fct - 3.0).abs() < 1e-9, "A fct {}", r.outcomes[0].fct);
-        assert!((r.outcomes[1].fct - 2.0).abs() < 1e-9, "B fct {}", r.outcomes[1].fct);
+        assert!(
+            (r.outcomes[0].fct - 3.0).abs() < 1e-9,
+            "A fct {}",
+            r.outcomes[0].fct
+        );
+        assert!(
+            (r.outcomes[1].fct - 2.0).abs() < 1e-9,
+            "B fct {}",
+            r.outcomes[1].fct
+        );
     }
 
     #[test]

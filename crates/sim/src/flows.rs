@@ -77,7 +77,9 @@ mod tests {
     #[test]
     fn fractional_remainder_kept() {
         let t = pair_topo(3);
-        let tm = TrafficMatrix::permutation(&t, &[(0, 1)]).unwrap().scaled(0.5);
+        let tm = TrafficMatrix::permutation(&t, &[(0, 1)])
+            .unwrap()
+            .scaled(0.5);
         let flows = flows_from_tm(&tm);
         // 1.5 units -> one unit flow + one 0.5 flow.
         assert_eq!(flows.len(), 2);

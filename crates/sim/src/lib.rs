@@ -25,8 +25,8 @@ pub mod flows;
 pub mod policy;
 
 pub use allocate::{max_min_rates, Allocation};
-pub use flows::{flows_from_tm, Flow};
 pub use fct::{run_open_loop, run_to_completion, ArrivingFlow, FctReport, SizedFlow};
+pub use flows::{flows_from_tm, Flow};
 pub use policy::PathPolicy;
 
 use dcn_model::ModelError;

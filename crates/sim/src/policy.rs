@@ -3,9 +3,9 @@
 use crate::flows::{Flow, RoutedFlow};
 use crate::SimError;
 use dcn_graph::{ksp, EdgeIndex, Graph};
+use dcn_guard::Budget;
 use dcn_model::Topology;
 use rand::rngs::StdRng;
-use dcn_guard::Budget;
 use rand::{Rng, SeedableRng};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -44,9 +44,7 @@ impl PathPolicy {
         let mut out = Vec::with_capacity(flows.len());
         for &flow in flows {
             let nodes = match *self {
-                PathPolicy::EcmpHash => {
-                    cache.random_shortest(flow.src, flow.dst, &mut rng)?
-                }
+                PathPolicy::EcmpHash => cache.random_shortest(flow.src, flow.dst, &mut rng)?,
                 PathPolicy::KspStripe { k } => {
                     let paths = cache.k_shortest(flow.src, flow.dst, k.max(1))?;
                     let idx = rr.entry((flow.src, flow.dst)).or_insert(0);
@@ -178,7 +176,9 @@ mod tests {
     fn ksp_stripe_spreads_flows() {
         let t = square();
         let fs = flows(&t, &[(0, 2)]);
-        let routed = PathPolicy::KspStripe { k: 2 }.route_all(&t, &fs, 1).unwrap();
+        let routed = PathPolicy::KspStripe { k: 2 }
+            .route_all(&t, &fs, 1)
+            .unwrap();
         // Two flows striped over the two sides of the square: first links
         // must differ.
         assert_ne!(routed[0].links[0], routed[1].links[0]);
@@ -198,7 +198,11 @@ mod tests {
     fn disconnected_pair_errors() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         let t = Topology::new(g, vec![1; 4], "split").unwrap();
-        let fs = vec![Flow { src: 0, dst: 2, demand: 1.0 }];
+        let fs = vec![Flow {
+            src: 0,
+            dst: 2,
+            demand: 1.0,
+        }];
         assert!(matches!(
             PathPolicy::EcmpHash.route_all(&t, &fs, 1),
             Err(SimError::NoPath { src: 0, dst: 2 })

@@ -64,9 +64,7 @@ impl ClosParams {
     /// (`P * (r/2)^(L-1)` for the non-blocking default).
     pub fn n_servers(&self) -> u64 {
         let half = (self.radix / 2) as u64;
-        self.top_pods as u64
-            * self.leaf_servers_eff() as u64
-            * half.pow(self.layers as u32 - 2)
+        self.top_pods as u64 * self.leaf_servers_eff() as u64 * half.pow(self.layers as u32 - 2)
     }
 
     /// Switches in one level-`l` pod: `sw(1) = 1`,
@@ -93,8 +91,8 @@ impl ClosParams {
         } else {
             half
         };
-        let keep = ((keep_denom as f64 * self.spine_uplink_fraction).round() as u64)
-            .clamp(1, keep_denom);
+        let keep =
+            ((keep_denom as f64 * self.spine_uplink_fraction).round() as u64).clamp(1, keep_denom);
         let u_used = u_full / keep_denom * keep;
         (u_used * self.top_pods as u64).div_ceil(self.radix as u64)
     }
@@ -218,8 +216,8 @@ pub fn folded_clos(p: ClosParams) -> Result<Topology, ModelError> {
     // Up-ports per switch at the layer below the core: leaf uplinks for a
     // 2-layer network, r/2 for deeper ones.
     let below_core_up = if layers == 2 { leaf_up } else { half };
-    let keep_per_spine = ((below_core_up as f64 * spine_uplink_fraction).round() as usize)
-        .clamp(1, below_core_up);
+    let keep_per_spine =
+        ((below_core_up as f64 * spine_uplink_fraction).round() as usize).clamp(1, below_core_up);
     let u_used = u_full / below_core_up * keep_per_spine;
     let cores_needed = (u_used * top_pods).div_ceil(radix);
     let cores: Vec<u32> = (0..cores_needed).map(|_| alloc(&mut servers, 0)).collect();

@@ -61,11 +61,7 @@ pub fn expand_by_rewiring<R: Rng>(
             }
             let idx = rng.gen_range(0..edges.len());
             let (x, y) = edges[idx];
-            if x == w
-                || y == w
-                || adj[w as usize].contains(&x)
-                || adj[w as usize].contains(&y)
-            {
+            if x == w || y == w || adj[w as usize].contains(&x) || adj[w as usize].contains(&y) {
                 continue;
             }
             // Remove (x, y); add (w, x) and (w, y).

@@ -94,6 +94,8 @@ mod tests {
         let t = jellyfish(10, 3, 2, &mut rng).unwrap();
         // Not guaranteed to disconnect, but must either succeed connected
         // or report the partition — never return a disconnected topology.
-        if let Ok(d) = fail_random_links(&t, 0.6, &mut rng) { assert!(d.graph().is_connected()) }
+        if let Ok(d) = fail_random_links(&t, 0.6, &mut rng) {
+            assert!(d.graph().is_connected())
+        }
     }
 }

@@ -106,25 +106,27 @@ pub fn fatclique(p: FatCliqueParams) -> Result<Topology, ModelError> {
     let sw = |block: usize, sub: usize, i: usize| -> u32 { (block * c * s + sub * s + i) as u32 };
     let mut edges: Vec<(u32, u32)> = Vec::new();
     let mut linkset: HashSet<(u32, u32)> = HashSet::new();
-    let add = |edges: &mut Vec<(u32, u32)>,
-                   linkset: &mut HashSet<(u32, u32)>,
-                   u: u32,
-                   v: u32|
-     -> bool {
-        let key = if u < v { (u, v) } else { (v, u) };
-        if u == v || !linkset.insert(key) {
-            return false;
-        }
-        edges.push((u, v));
-        true
-    };
+    let add =
+        |edges: &mut Vec<(u32, u32)>, linkset: &mut HashSet<(u32, u32)>, u: u32, v: u32| -> bool {
+            let key = if u < v { (u, v) } else { (v, u) };
+            if u == v || !linkset.insert(key) {
+                return false;
+            }
+            edges.push((u, v));
+            true
+        };
 
     // Level 1: complete graph inside each sub-clique.
     for block in 0..b {
         for sub in 0..c {
             for i in 0..s {
                 for j in (i + 1)..s {
-                    add(&mut edges, &mut linkset, sw(block, sub, i), sw(block, sub, j));
+                    add(
+                        &mut edges,
+                        &mut linkset,
+                        sw(block, sub, i),
+                        sw(block, sub, j),
+                    );
                 }
             }
         }

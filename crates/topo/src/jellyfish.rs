@@ -329,8 +329,7 @@ mod tests {
     fn many_sizes_succeed() {
         let mut rng = StdRng::seed_from_u64(6);
         for &(n, r) in &[(10usize, 3usize), (16, 4), (50, 7), (100, 12), (128, 24)] {
-            let t = jellyfish(n, r, 4, &mut rng)
-                .unwrap_or_else(|e| panic!("n={n} r={r}: {e}"));
+            let t = jellyfish(n, r, 4, &mut rng).unwrap_or_else(|e| panic!("n={n} r={r}: {e}"));
             for u in 0..n as u32 {
                 assert_eq!(t.graph().degree(u), r);
             }

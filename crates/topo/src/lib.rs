@@ -35,8 +35,8 @@ pub mod xpander;
 
 pub use clos::{fat_tree, folded_clos, ClosParams};
 pub use dragonfly::dragonfly;
-pub use f10::f10;
 pub use expansion::expand_by_rewiring;
+pub use f10::f10;
 pub use failures::fail_random_links;
 pub use fatclique::{fatclique, FatCliqueParams};
 pub use jellyfish::jellyfish;

@@ -66,8 +66,7 @@ pub fn spinefree<R: Rng>(p: SpineFreeParams, rng: &mut R) -> Result<Topology, Mo
         crate::check_regular_feasible(pods, degree)?;
         if degree < 3 {
             return Err(ModelError::InfeasibleParams(
-                "random pod graphs need degree >= 3 (use the full mesh for tiny fabrics)"
-                    .into(),
+                "random pod graphs need degree >= 3 (use the full mesh for tiny fabrics)".into(),
             ));
         }
         let base = crate::jellyfish(pods, degree, 1, rng)?;
@@ -78,9 +77,7 @@ pub fn spinefree<R: Rng>(p: SpineFreeParams, rng: &mut R) -> Result<Topology, Mo
             .collect()
     };
     let graph = Graph::from_weighted_edges(pods, &edges)?;
-    let name = format!(
-        "spinefree-p{pods}-h{servers_per_pod}-t{trunk}-d{degree}"
-    );
+    let name = format!("spinefree-p{pods}-h{servers_per_pod}-t{trunk}-d{degree}");
     Topology::new(graph, vec![servers_per_pod; pods], name)
 }
 

@@ -33,8 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some((p, sw)) = dcn::core::cost::min_clos_switches(n_servers, radix) {
         let topo = folded_clos(p)?;
         let t = tub(&topo, MatchingBackend::Auto { exact_below: 600 }, &sctx)?;
-        let bbw =
-            bisection_bandwidth(&topo, 3, 7, &sctx)? / (topo.n_servers() as f64 / 2.0);
+        let bbw = bisection_bandwidth(&topo, 3, 7, &sctx)? / (topo.n_servers() as f64 / 2.0);
         println!(
             "{:<18} {:>4} {:>9} {:>7.3} {:>9.3} {:>12}",
             format!("clos({}L)", p.layers),
@@ -60,8 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 Err(_) => continue,
             };
             let t = tub(&topo, MatchingBackend::Auto { exact_below: 600 }, &sctx)?;
-            let bbw =
-                bisection_bandwidth(&topo, 3, 7, &sctx)? / (topo.n_servers() as f64 / 2.0);
+            let bbw = bisection_bandwidth(&topo, 3, 7, &sctx)? / (topo.n_servers() as f64 / 2.0);
             let permitted = full_throughput_possible(UniRegularParams {
                 n_servers: topo.n_servers(),
                 radix,

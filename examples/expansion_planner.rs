@@ -32,7 +32,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         target
     );
     let curve = expansion_curve(&topo, h, steps.max(1), 0.2, backend, 5, &sctx)?;
-    println!("{:>8} {:>9} {:>7} {:>11}", "ratio", "switches", "tub", "normalized");
+    println!(
+        "{:>8} {:>9} {:>7} {:>11}",
+        "ratio", "switches", "tub", "normalized"
+    );
     for p in &curve {
         println!(
             "{:>8.2} {:>9.0} {:>7.3} {:>11.3}",
@@ -54,7 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     // What should the designer have picked for the target size?
     for h_plan in (1..h).rev() {
-        let planned = Family::Jellyfish.build(target * h as usize / h_plan as usize, radix, h_plan, 3)?;
+        let planned =
+            Family::Jellyfish.build(target * h as usize / h_plan as usize, radix, h_plan, 3)?;
         let t = tub(&planned, backend, &sctx)?;
         if t.bound >= 1.0 - 1e-9 {
             println!(

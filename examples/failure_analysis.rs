@@ -36,7 +36,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         13,
         &sctx,
     )?;
-    println!("{:>9} {:>9} {:>9} {:>10}", "failed", "nominal", "actual", "deviation");
+    println!(
+        "{:>9} {:>9} {:>9} {:>10}",
+        "failed", "nominal", "actual", "deviation"
+    );
     for p in &points {
         match (p.actual, p.deviation()) {
             (Some(actual), Some(dev)) => println!(

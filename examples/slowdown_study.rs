@@ -60,12 +60,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 })
                 .collect();
             let report = run_to_completion(topo, &sized);
-            let alloc_rates: Vec<f64> = report.outcomes.iter().map(|o| 1.0 / o.slowdown.max(1e-9)).collect();
+            let alloc_rates: Vec<f64> = report
+                .outcomes
+                .iter()
+                .map(|o| 1.0 / o.slowdown.max(1e-9))
+                .collect();
             let jain = {
                 let n = alloc_rates.len() as f64;
                 let s: f64 = alloc_rates.iter().sum();
                 let s2: f64 = alloc_rates.iter().map(|r| r * r).sum();
-                if s2 > 0.0 { s * s / (n * s2) } else { 1.0 }
+                if s2 > 0.0 {
+                    s * s / (n * s2)
+                } else {
+                    1.0
+                }
             };
             println!(
                 "{:<12} {:<12} {:>8.2} {:>8.2} {:>9.2} {:>9.3}",

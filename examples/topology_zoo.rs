@@ -13,8 +13,8 @@ use dcn::graph::edge_connectivity;
 use dcn::guard::prelude::*;
 use dcn::model::Topology;
 use dcn::topo::{
-    dragonfly, f10, fat_tree, fatclique, jellyfish, slimfly, spinefree, xpander,
-    FatCliqueParams, SpineFreeParams,
+    dragonfly, f10, fat_tree, fatclique, jellyfish, slimfly, spinefree, xpander, FatCliqueParams,
+    SpineFreeParams,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -50,7 +50,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?);
 
     for topo in &zoo {
-        let card = report_card(topo, MatchingBackend::Auto { exact_below: 400 }, 3, 7, &sctx)?;
+        let card = report_card(
+            topo,
+            MatchingBackend::Auto { exact_below: 400 },
+            3,
+            7,
+            &sctx,
+        )?;
         print!("{}", card.render());
         // Edge connectivity: affordable at zoo sizes.
         let ec = edge_connectivity(topo.graph(), &unlimited())?;

@@ -136,7 +136,10 @@ fn cmd_gen(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_eval(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let path = args.positional.first().ok_or("eval needs a topology.json")?;
+    let path = args
+        .positional
+        .first()
+        .ok_or("eval needs a topology.json")?;
     let json = std::fs::read_to_string(path)?;
     let topo = Topology::from_json(&json)?;
     println!(
@@ -150,7 +153,10 @@ fn cmd_eval(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let cache = CacheHandle::from_env();
     let sctx = SolveCtx::unlimited(&cache);
     let bound = tub(&topo, MatchingBackend::default(), &sctx)?;
-    println!("tub                 = {:.4}  ({})", bound.bound, bound.backend);
+    println!(
+        "tub                 = {:.4}  ({})",
+        bound.bound, bound.backend
+    );
     let bbw = bisection_bandwidth(&topo, 4, 7, &sctx)?;
     println!(
         "bisection bandwidth = {bbw:.1}  ({:.3} of N/2)",
@@ -201,18 +207,11 @@ fn cmd_frontier(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     };
     let cache = CacheHandle::from_env();
     let sctx = SolveCtx::unlimited(&cache);
-    match frontier_max_servers(
-        family,
-        radix,
-        h,
-        criterion,
-        max_switches,
-        seed,
-        &sctx,
-    )? {
+    match frontier_max_servers(family, radix, h, criterion, max_switches, seed, &sctx)? {
         Some(n) => println!(
-            "{} radix={radix} H={h}: largest size satisfying the criterion ≈ {n} servers"
-        , family.name()),
+            "{} radix={radix} H={h}: largest size satisfying the criterion ≈ {n} servers",
+            family.name()
+        ),
         None => println!(
             "{} radix={radix} H={h}: even the smallest instance fails the criterion",
             family.name()

@@ -11,6 +11,7 @@
     reason = "times cancellation, spawns threads and writers"
 )]
 
+use dcn::core::{tub, MatchingBackend};
 use dcn::graph::ksp::yen;
 use dcn::graph::{Graph, GraphError};
 use dcn::guard::adversarial::{all_cases, hostile_floats, CaseSpec, Xorshift};
@@ -20,9 +21,8 @@ use dcn::matching::hungarian_max;
 use dcn::mcf::{ksp_mcf_throughput, throughput_with_fallback, Engine, McfError, PathSet};
 use dcn::model::{Demand, ModelError, Topology, TrafficMatrix};
 use dcn::partition::bisection;
-use dcn::core::{tub, MatchingBackend};
-use std::time::{Duration, Instant};
 use dcn_cache::prelude::*;
+use std::time::{Duration, Instant};
 
 /// A 6-cycle with one server per switch: small enough that every solver
 /// finishes instantly under a sane budget, structured enough (two paths
@@ -55,7 +55,11 @@ fn materialize_and_assert(case: CaseSpec) {
         CaseSpec::NanDemand => {
             let err = TrafficMatrix::new(
                 &topo,
-                vec![Demand { src: 0, dst: 3, amount: f64::NAN }],
+                vec![Demand {
+                    src: 0,
+                    dst: 3,
+                    amount: f64::NAN,
+                }],
             )
             .unwrap_err();
             assert!(matches!(err, ModelError::InvalidDemand { .. }), "{err:?}");
@@ -63,7 +67,11 @@ fn materialize_and_assert(case: CaseSpec) {
         CaseSpec::NegativeDemand => {
             let err = TrafficMatrix::new(
                 &topo,
-                vec![Demand { src: 0, dst: 3, amount: -1.0 }],
+                vec![Demand {
+                    src: 0,
+                    dst: 3,
+                    amount: -1.0,
+                }],
             )
             .unwrap_err();
             assert!(matches!(err, ModelError::InvalidDemand { .. }), "{err:?}");
@@ -71,7 +79,11 @@ fn materialize_and_assert(case: CaseSpec) {
         CaseSpec::ZeroDemand => {
             let err = TrafficMatrix::new(
                 &topo,
-                vec![Demand { src: 0, dst: 3, amount: 0.0 }],
+                vec![Demand {
+                    src: 0,
+                    dst: 3,
+                    amount: 0.0,
+                }],
             )
             .unwrap_err();
             assert!(matches!(err, ModelError::InvalidDemand { .. }), "{err:?}");
@@ -79,7 +91,11 @@ fn materialize_and_assert(case: CaseSpec) {
         CaseSpec::SelfLoopDemand => {
             let err = TrafficMatrix::new(
                 &topo,
-                vec![Demand { src: 2, dst: 2, amount: 1.0 }],
+                vec![Demand {
+                    src: 2,
+                    dst: 2,
+                    amount: 1.0,
+                }],
             )
             .unwrap_err();
             assert!(matches!(err, ModelError::InvalidDemand { .. }), "{err:?}");
@@ -117,7 +133,8 @@ fn materialize_and_assert(case: CaseSpec) {
         }
         CaseSpec::EmptyTraffic => {
             let tm = TrafficMatrix::new(&topo, Vec::new()).expect("empty tm is legal");
-            let err = ksp_mcf_throughput(&topo, &tm, 4, Engine::Exact, &unlimited_ctx()).unwrap_err();
+            let err =
+                ksp_mcf_throughput(&topo, &tm, 4, Engine::Exact, &unlimited_ctx()).unwrap_err();
             assert_eq!(err, McfError::EmptyTraffic);
         }
         CaseSpec::DegenerateLp => {
@@ -158,7 +175,8 @@ fn materialize_and_assert(case: CaseSpec) {
             let tm = antipodal_tm(&topo);
             let budget = Budget::unlimited().with_wall(Duration::from_nanos(1));
             let started = Instant::now();
-            let err = ksp_mcf_throughput(&topo, &tm, 8, Engine::Exact, &nocache_ctx(&budget)).unwrap_err();
+            let err = ksp_mcf_throughput(&topo, &tm, 8, Engine::Exact, &nocache_ctx(&budget))
+                .unwrap_err();
             assert!(
                 matches!(err, McfError::Budget(BudgetError::DeadlineExceeded { .. })),
                 "{err:?}"
@@ -195,7 +213,8 @@ fn materialize_and_assert(case: CaseSpec) {
             flag.cancel();
             let budget = Budget::unlimited().with_cancel(flag);
             let tm = antipodal_tm(&topo);
-            let err = ksp_mcf_throughput(&topo, &tm, 8, Engine::Exact, &nocache_ctx(&budget)).unwrap_err();
+            let err = ksp_mcf_throughput(&topo, &tm, 8, Engine::Exact, &nocache_ctx(&budget))
+                .unwrap_err();
             assert!(
                 matches!(err, McfError::Budget(BudgetError::Cancelled { .. })),
                 "{err:?}"
@@ -216,7 +235,14 @@ fn hostile_floats_never_panic_model_constructors() {
     let topo = ring6();
     for &v in &hostile_floats() {
         // Demands: only positive finite values may survive.
-        match TrafficMatrix::new(&topo, vec![Demand { src: 0, dst: 3, amount: v }]) {
+        match TrafficMatrix::new(
+            &topo,
+            vec![Demand {
+                src: 0,
+                dst: 3,
+                amount: v,
+            }],
+        ) {
             Ok(_) => assert!(v.is_finite() && v > 0.0, "accepted hostile demand {v}"),
             Err(ModelError::InvalidDemand { .. }) => {}
             Err(e) => panic!("unexpected error kind for demand {v}: {e:?}"),
@@ -339,11 +365,12 @@ fn cancellation_mid_run_stops_promptly() {
 // result untouched.
 
 use dcn::core::frontier::{frontier_sweep, Criterion, Family, FrontierConfig};
-use dcn::core::TubResult;
 use dcn::core::CoreError;
+use dcn::core::TubResult;
 use dcn::obs::json::Json;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+#[expect(clippy::disallowed_types, reason = "counts the tasks the pool starts")]
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const CACHE_WRITER_DIR_ENV: &str = "DCN_FAULT_TEST_CACHE_WRITER_DIR";
@@ -397,9 +424,16 @@ fn seed_tub_record(dir: &Path, topo: &Topology) -> (String, PathBuf, Vec<u8>) {
     let reference = tub_bytes(&exact_tub(topo, &unlimited_ctx()));
     let cache = CacheHandle::with_disk(1 << 20, dir);
     let budget = Budget::unlimited();
-    assert_eq!(tub_bytes(&exact_tub(topo, &ctx(&cache, &budget))), reference);
+    assert_eq!(
+        tub_bytes(&exact_tub(topo, &ctx(&cache, &budget))),
+        reference
+    );
     let records = names_with_suffix(dir, ".json");
-    assert_eq!(records.len(), 1, "one solve publishes one record: {records:?}");
+    assert_eq!(
+        records.len(),
+        1,
+        "one solve publishes one record: {records:?}"
+    );
     let path = dir.join(&records[0]);
     let bytes = std::fs::read(&path).expect("read fresh record");
     (reference, path, bytes)
@@ -419,7 +453,10 @@ fn corrupt_and_recover(name: &str, corrupt: impl FnOnce(&Path, &[u8]), quarantin
 
     let cold = CacheHandle::with_disk(1 << 20, &dir);
     let budget = Budget::unlimited();
-    assert_eq!(tub_bytes(&exact_tub(&topo, &ctx(&cold, &budget))), reference);
+    assert_eq!(
+        tub_bytes(&exact_tub(&topo, &ctx(&cold, &budget))),
+        reference
+    );
     assert_eq!(
         std::fs::read(&record).expect("rewritten record"),
         original,
@@ -435,7 +472,11 @@ fn corrupt_and_recover(name: &str, corrupt: impl FnOnce(&Path, &[u8]), quarantin
     let served = exact_tub(&topo, &ctx(&later, &tight));
     assert!(!served.fallback, "a served record is the exact result");
     assert_eq!(tub_bytes(&served), reference);
-    assert_eq!(names_with_suffix(&dir, ".quarantined"), aside, "nothing re-trips");
+    assert_eq!(
+        names_with_suffix(&dir, ".quarantined"),
+        aside,
+        "nothing re-trips"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -575,7 +616,10 @@ fn stale_temp_file_of_a_dead_writer_is_ignored() {
 
     let cold = CacheHandle::with_disk(1 << 20, &dir);
     let budget = Budget::unlimited();
-    assert_eq!(tub_bytes(&exact_tub(&topo, &ctx(&cold, &budget))), reference);
+    assert_eq!(
+        tub_bytes(&exact_tub(&topo, &ctx(&cold, &budget))),
+        reference
+    );
     assert_eq!(std::fs::read(&record).expect("republished"), original);
     assert!(names_with_suffix(&dir, ".quarantined").is_empty());
     assert_eq!(
@@ -594,12 +638,19 @@ fn temp_file_left_under_a_reused_pid_is_overwritten_not_appended() {
     let topo = ring(6);
     let (reference, record, original) = seed_tub_record(&dir, &topo);
     std::fs::remove_file(&record).expect("unpublish record");
-    let ours = format!("{}.{}.tmp", record.with_extension("").display(), std::process::id());
+    let ours = format!(
+        "{}.{}.tmp",
+        record.with_extension("").display(),
+        std::process::id()
+    );
     std::fs::write(&ours, vec![b'#'; original.len() * 3]).expect("leftover temp");
 
     let cold = CacheHandle::with_disk(1 << 20, &dir);
     let budget = Budget::unlimited();
-    assert_eq!(tub_bytes(&exact_tub(&topo, &ctx(&cold, &budget))), reference);
+    assert_eq!(
+        tub_bytes(&exact_tub(&topo, &ctx(&cold, &budget))),
+        reference
+    );
     assert_eq!(std::fs::read(&record).expect("republished"), original);
     assert!(
         names_with_suffix(&dir, ".tmp").is_empty(),
@@ -621,7 +672,10 @@ fn directory_squatting_on_a_record_path_costs_only_a_recompute() {
     for _ in 0..2 {
         let cold = CacheHandle::with_disk(1 << 20, &dir);
         let budget = Budget::unlimited();
-        assert_eq!(tub_bytes(&exact_tub(&topo, &ctx(&cold, &budget))), reference);
+        assert_eq!(
+            tub_bytes(&exact_tub(&topo, &ctx(&cold, &budget))),
+            reference
+        );
     }
     assert!(record.is_dir());
     assert!(names_with_suffix(&dir, ".tmp").is_empty());
@@ -642,12 +696,18 @@ fn unusable_cache_dir_falls_back_to_memory_only() {
     let cache = CacheHandle::with_disk(1 << 20, &file);
     assert!(cache.is_enabled());
     let budget = Budget::unlimited();
-    assert_eq!(tub_bytes(&exact_tub(&topo, &ctx(&cache, &budget))), reference);
+    assert_eq!(
+        tub_bytes(&exact_tub(&topo, &ctx(&cache, &budget))),
+        reference
+    );
     let tight = zero_ticks();
     let served = exact_tub(&topo, &ctx(&cache, &tight));
     assert!(!served.fallback, "the memory tier serves the second lookup");
     assert_eq!(tub_bytes(&served), reference);
-    assert_eq!(std::fs::read(&file).expect("blocker intact"), b"not a directory");
+    assert_eq!(
+        std::fs::read(&file).expect("blocker intact"),
+        b"not a directory"
+    );
     let _ = std::fs::remove_dir_all(&base);
 }
 
@@ -796,7 +856,10 @@ fn writer_sigkilled_mid_sweep_leaves_only_loadable_records() {
         names_with_suffix(&dir, ".quarantined").is_empty(),
         "a SIGKILL must never publish a torn record"
     );
-    assert_eq!(names_with_suffix(&dir, ".json").len(), writer_topologies().len());
+    assert_eq!(
+        names_with_suffix(&dir, ".json").len(),
+        writer_topologies().len()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -816,7 +879,10 @@ fn resumed_sweep_reuses_records_of_a_killed_writer() {
         }
     }
     assert!(published >= 2);
-    assert_eq!(served, published, "every published cell is reused, none is redone");
+    assert_eq!(
+        served, published,
+        "every published cell is reused, none is redone"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -824,7 +890,9 @@ fn resumed_sweep_reuses_records_of_a_killed_writer() {
 fn writer_panicking_mid_sweep_leaves_complete_records() {
     let dir = cache_scratch("panic");
     std::fs::create_dir_all(&dir).expect("create cache dir");
-    let out = cache_writer(&dir, "panic").output().expect("run panicking writer");
+    let out = cache_writer(&dir, "panic")
+        .output()
+        .expect("run panicking writer");
     assert!(!out.status.success(), "the writer must die");
     assert!(
         String::from_utf8_lossy(&out.stderr).contains(&format!("before cell {PANIC_AFTER}")),
@@ -864,7 +932,10 @@ fn concurrent_writers_on_one_cache_dir_agree_byte_for_byte() {
     assert_eq!(run_writer(b), references);
     let mut entries = names_with_suffix(&dir, "");
     entries.retain(|n| !n.ends_with(".json"));
-    assert!(entries.is_empty(), "no temp or quarantined residue: {entries:?}");
+    assert!(
+        entries.is_empty(),
+        "no temp or quarantined residue: {entries:?}"
+    );
     assert_eq!(names_with_suffix(&dir, ".json").len(), references.len());
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -900,7 +971,10 @@ fn frontier_sweep_over_corrupted_cache_matches_uncached() {
     let reference = frontier_sweep(&configs, &unlimited_ctx()).expect("uncached sweep");
     let budget = Budget::unlimited();
     let warm = CacheHandle::with_disk(1 << 20, &dir);
-    assert_eq!(frontier_sweep(&configs, &ctx(&warm, &budget)).expect("warm"), reference);
+    assert_eq!(
+        frontier_sweep(&configs, &ctx(&warm, &budget)).expect("warm"),
+        reference
+    );
     let records = names_with_suffix(&dir, ".json");
     assert!(records.len() >= 4, "{records:?}");
     let originals: Vec<Vec<u8>> = records
@@ -912,9 +986,16 @@ fn frontier_sweep_over_corrupted_cache_matches_uncached() {
     }
 
     let cold = CacheHandle::with_disk(1 << 20, &dir);
-    assert_eq!(frontier_sweep(&configs, &ctx(&cold, &budget)).expect("cold"), reference);
+    assert_eq!(
+        frontier_sweep(&configs, &ctx(&cold, &budget)).expect("cold"),
+        reference
+    );
     for (name, bytes) in records.iter().zip(&originals) {
-        assert_eq!(&std::fs::read(dir.join(name)).expect("rewritten"), bytes, "{name}");
+        assert_eq!(
+            &std::fs::read(dir.join(name)).expect("rewritten"),
+            bytes,
+            "{name}"
+        );
     }
     let aside: Vec<String> = records.iter().map(|n| format!("{n}.quarantined")).collect();
     assert_eq!(names_with_suffix(&dir, ".quarantined"), aside);
@@ -986,7 +1067,9 @@ fn panicking_pool_task_reraises_on_caller_and_pool_stays_usable() {
         .unwrap_or_default();
     assert_eq!(message, "poison cell 11");
     let squares = pool
-        .par_map(&Budget::unlimited(), &items, |_, &x| Ok::<_, BudgetError>(x * x))
+        .par_map(&Budget::unlimited(), &items, |_, &x| {
+            Ok::<_, BudgetError>(x * x)
+        })
         .expect("the pool runs the next fan-out");
     assert_eq!(squares, items.iter().map(|x| x * x).collect::<Vec<_>>());
 }
@@ -999,6 +1082,7 @@ fn pool_deadline_stops_fan_out_within_one_task_per_worker() {
     let pool = dcn_exec::Pool::new(2);
     let items: Vec<u64> = (0..64).collect();
     let budget = Budget::unlimited().with_wall(Duration::from_millis(50));
+    #[expect(clippy::disallowed_types, reason = "counts the tasks the pool starts")]
     let started_tasks = AtomicUsize::new(0);
     let started = Instant::now();
     let err = pool
@@ -1008,7 +1092,10 @@ fn pool_deadline_stops_fan_out_within_one_task_per_worker() {
             Ok::<_, BudgetError>(x)
         })
         .unwrap_err();
-    assert!(matches!(err, BudgetError::DeadlineExceeded { .. }), "{err:?}");
+    assert!(
+        matches!(err, BudgetError::DeadlineExceeded { .. }),
+        "{err:?}"
+    );
     assert!(started_tasks.load(Ordering::Relaxed) <= 6);
     assert!(started.elapsed() < Duration::from_secs(5));
 }
@@ -1022,15 +1109,12 @@ fn random_hostile_lps_terminate_under_budget() {
     for case in 0..60 {
         let n = 1 + rng.next_below(4) as usize;
         let mut lp = LinearProgram::new(n);
-        let obj: Vec<(usize, f64)> = (0..n)
-            .map(|j| (j, rng.next_f64() * 4.0 - 2.0))
-            .collect();
+        let obj: Vec<(usize, f64)> = (0..n).map(|j| (j, rng.next_f64() * 4.0 - 2.0)).collect();
         lp.set_objective(&obj);
         let rows = 1 + rng.next_below(5);
         for _ in 0..rows {
-            let coeffs: Vec<(usize, f64)> = (0..n)
-                .map(|j| (j, rng.next_f64() * 4.0 - 2.0))
-                .collect();
+            let coeffs: Vec<(usize, f64)> =
+                (0..n).map(|j| (j, rng.next_f64() * 4.0 - 2.0)).collect();
             let cmp = match rng.next_below(3) {
                 0 => Cmp::Le,
                 1 => Cmp::Ge,

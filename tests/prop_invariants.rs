@@ -2,24 +2,24 @@
 //! generated topologies and traffic.
 
 use dcn::core::{tub, MatchingBackend};
-use dcn::guard::prelude::*;
 use dcn::graph::{ksp, DistMatrix, Graph};
+use dcn::guard::prelude::*;
 use dcn::lp::{Cmp, LinearProgram, LpStatus};
 use dcn::matching::{greedy_max, hungarian_max, improve_2swap};
 use dcn::mcf::{ksp_mcf_throughput, Engine};
 use dcn::model::{Topology, TrafficMatrix};
 use dcn::topo::jellyfish;
+use dcn_cache::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use dcn_cache::prelude::*;
 
 /// Strategy: a connected random regular graph spec (n, r).
 fn regular_spec() -> impl Strategy<Value = (usize, usize, u32, u64)> {
-    (8usize..40, 3usize..7, 1u32..5, any::<u64>()).prop_filter(
-        "n*r even and r < n",
-        |(n, r, _h, _s)| n * r % 2 == 0 && r < n,
-    )
+    (8usize..40, 3usize..7, 1u32..5, any::<u64>())
+        .prop_filter("n*r even and r < n", |(n, r, _h, _s)| {
+            n * r % 2 == 0 && r < n
+        })
 }
 
 proptest! {

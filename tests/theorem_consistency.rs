@@ -14,9 +14,9 @@ use dcn::core::{tub, MatchingBackend};
 use dcn::mcf::{ksp_mcf_throughput, Engine};
 use dcn::model::TrafficMatrix;
 use dcn::topo::{fat_tree, jellyfish, xpander};
+use dcn_cache::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use dcn_cache::prelude::*;
 
 #[test]
 fn bound_chain_on_jellyfish_instances() {
@@ -66,7 +66,14 @@ fn fptas_brackets_exact_on_all_families() {
         let exact = ksp_mcf_throughput(&topo, &tm, 16, Engine::Exact, &unlimited_ctx())
             .unwrap()
             .theta_lb;
-        let approx = ksp_mcf_throughput(&topo, &tm, 16, Engine::Fptas { eps: 0.05 }, &unlimited_ctx()).unwrap();
+        let approx = ksp_mcf_throughput(
+            &topo,
+            &tm,
+            16,
+            Engine::Fptas { eps: 0.05 },
+            &unlimited_ctx(),
+        )
+        .unwrap();
         assert!(
             approx.theta_lb <= exact + 1e-9 && exact <= approx.theta_ub + 1e-9,
             "{}: [{}, {}] misses {}",
@@ -151,8 +158,17 @@ fn expansion_never_raises_tub_noticeably() {
     // worst case (modulo small randomness).
     let mut rng = StdRng::seed_from_u64(6);
     let topo = jellyfish(30, 5, 4, &mut rng).unwrap();
-    let before = tub(&topo, MatchingBackend::Exact, &unlimited_ctx()).unwrap().bound.min(1.0);
+    let before = tub(&topo, MatchingBackend::Exact, &unlimited_ctx())
+        .unwrap()
+        .bound
+        .min(1.0);
     let bigger = dcn::topo::expand_by_rewiring(&topo, 30, 4, &mut rng).unwrap();
-    let after = tub(&bigger, MatchingBackend::Exact, &unlimited_ctx()).unwrap().bound.min(1.0);
-    assert!(after <= before + 0.08, "expansion raised tub {before} -> {after}");
+    let after = tub(&bigger, MatchingBackend::Exact, &unlimited_ctx())
+        .unwrap()
+        .bound
+        .min(1.0);
+    assert!(
+        after <= before + 0.08,
+        "expansion raised tub {before} -> {after}"
+    );
 }

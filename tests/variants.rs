@@ -5,9 +5,9 @@ use dcn::core::{tub, MatchingBackend};
 use dcn::mcf::{ecmp_throughput, ksp_mcf_throughput, Engine};
 use dcn::model::TrafficMatrix;
 use dcn::topo::{dragonfly, f10, fat_tree};
+use dcn_cache::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use dcn_cache::prelude::*;
 
 #[test]
 fn f10_conjecture_tub_is_one() {
@@ -16,11 +16,7 @@ fn f10_conjecture_tub_is_one() {
     for k in [4usize, 6, 8] {
         let t = f10(k).unwrap();
         let b = tub(&t, MatchingBackend::Exact, &unlimited_ctx()).unwrap();
-        assert!(
-            (b.bound - 1.0).abs() < 1e-9,
-            "f10(k={k}) tub = {}",
-            b.bound
-        );
+        assert!((b.bound - 1.0).abs() < 1e-9, "f10(k={k}) tub = {}", b.bound);
     }
 }
 
@@ -72,12 +68,20 @@ fn dragonfly_tub_reflects_global_bottleneck() {
 fn dragonfly_oversubscribed_at_high_p() {
     // Doubling servers per router halves the bound (denominator scales
     // with H; capacity fixed).
-    let lo = tub(&dragonfly(1, 4, 2).unwrap(), MatchingBackend::Exact, &unlimited_ctx())
-        .unwrap()
-        .bound;
-    let hi = tub(&dragonfly(2, 4, 2).unwrap(), MatchingBackend::Exact, &unlimited_ctx())
-        .unwrap()
-        .bound;
+    let lo = tub(
+        &dragonfly(1, 4, 2).unwrap(),
+        MatchingBackend::Exact,
+        &unlimited_ctx(),
+    )
+    .unwrap()
+    .bound;
+    let hi = tub(
+        &dragonfly(2, 4, 2).unwrap(),
+        MatchingBackend::Exact,
+        &unlimited_ctx(),
+    )
+    .unwrap()
+    .bound;
     assert!(
         (hi - lo / 2.0).abs() < 1e-9,
         "p=1: {lo}, p=2: {hi} (expected exactly half)"
